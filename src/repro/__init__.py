@@ -30,7 +30,6 @@ from repro.core.rsm import RSM
 from repro.cpu.trace import Trace
 from repro.exec import Executor, ResultCache, RunSpec
 from repro.experiments.runner import ExperimentRunner
-from repro.policies import make_policy
 from repro.policies.registry import (
     PolicySpec,
     build_policy,
@@ -65,7 +64,6 @@ __all__ = [
     "WorkloadMetrics",
     "build_policy",
     "canonical_policy",
-    "make_policy",
     "paper_quad_core",
     "paper_single_core",
     "slowdown",

@@ -29,11 +29,11 @@ from repro.experiments.runner import (
 )
 
 
-def _job_count(value: str) -> int:
-    jobs = int(value)
-    if jobs < 1:
+def _positive_count(value: str) -> int:
+    count = int(value)
+    if count < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
-    return jobs
+    return count
 
 
 def _cache_dir(value: str) -> Path:
@@ -63,7 +63,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every simulating subcommand."""
     parser.add_argument(
         "--jobs",
-        type=_job_count,
+        type=_positive_count,
         default=1,
         help="worker processes for independent runs (1 = in-process serial)",
     )
@@ -103,20 +103,6 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
         "finishing the wave and reporting a failure table",
     )
     _add_backend_flag(parser)
-    _add_transport_flag(parser)
-
-
-def _add_transport_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--transport",
-        choices=("auto", "pickle", "shm"),
-        default="auto",
-        help="how workers return results: 'pickle' (full result over the "
-        "pool pipe), 'shm' (length-prefixed frames in shared memory; the "
-        "parent maps them lazily), or 'auto' (shm when --jobs > 1); "
-        "results are byte-identical across transports and the choice "
-        "never affects cache keys",
-    )
 
 
 def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
@@ -170,13 +156,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--requests",
-        type=int,
+        type=_positive_count,
         default=DEFAULT_MULTI_REQUESTS,
         help="trace length per program (multiprogram runs)",
     )
     run_parser.add_argument(
         "--single-requests",
-        type=int,
+        type=_positive_count,
         default=DEFAULT_SINGLE_REQUESTS,
         help="trace length per program (single-program runs)",
     )
@@ -219,10 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", type=int, default=DEFAULT_SCALE
     )
     report_parser.add_argument(
-        "--requests", type=int, default=DEFAULT_MULTI_REQUESTS
+        "--requests", type=_positive_count, default=DEFAULT_MULTI_REQUESTS
     )
     report_parser.add_argument(
-        "--single-requests", type=int, default=DEFAULT_SINGLE_REQUESTS
+        "--single-requests",
+        type=_positive_count,
+        default=DEFAULT_SINGLE_REQUESTS,
     )
     report_parser.add_argument("--seed", type=int, default=0)
     report_parser.add_argument(
@@ -239,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("program", help="Table 9 program name")
     trace_parser.add_argument("output", type=Path)
-    trace_parser.add_argument("--requests", type=int, default=50_000)
+    trace_parser.add_argument(
+        "--requests", type=_positive_count, default=50_000
+    )
     trace_parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     trace_parser.add_argument("--seed", type=int, default=0)
 
@@ -249,7 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     char_parser.add_argument(
         "trace", help="path to a .npz trace, or a Table 9 program name"
     )
-    char_parser.add_argument("--requests", type=int, default=50_000)
+    char_parser.add_argument(
+        "--requests", type=_positive_count, default=50_000
+    )
     char_parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     char_parser.add_argument("--seed", type=int, default=0)
 
@@ -289,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         "non-zero when events/sec regresses below --min-ratio times the "
         "recorded rates (the CI perf-smoke gate).  With --sweep, run the "
         "sweep-scale benchmark instead: a few hundred small specs "
-        "through the executor under --transport, gating throughput "
+        "through the executor, gating throughput "
         "(floor) and parent peak RSS (ceiling) against a baseline "
         "BENCH_sweep.json (the CI sweep-scale gate).",
     )
@@ -339,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_parser.add_argument(
         "--jobs",
-        type=_job_count,
+        type=_positive_count,
         default=1,
         help="worker processes for --sweep (1 = in-process serial)",
     )
@@ -350,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --sweep and --baseline: fail when parent peak RSS "
         "exceeds this multiple of the baseline's",
     )
-    _add_transport_flag(perf_parser)
     perf_parser.add_argument(
         "--components",
         action="store_true",
@@ -475,16 +466,11 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         run_timeout=getattr(args, "run_timeout", None),
         fail_fast=getattr(args, "fail_fast", False),
         resume=getattr(args, "resume", False),
-        transport=getattr(args, "transport", "auto"),
     )
 
 
 def _run(args: argparse.Namespace) -> int:
-    from repro.common.errors import (
-        InvalidValueError,
-        PolicySpecError,
-        UnknownPolicyError,
-    )
+    from repro.common.errors import PolicySpecError, UnknownPolicyError
     from repro.exec import SweepFailure, format_failure_table
     from repro.experiments.paper_report import format_run_stats
     from repro.policies.registry import canonical_policy
@@ -506,11 +492,7 @@ def _run(args: argparse.Namespace) -> int:
     except (PolicySpecError, UnknownPolicyError) as error:
         print(f"bad --policy: {error}", file=sys.stderr)
         return 2
-    try:
-        runner = _make_runner(args)
-    except InvalidValueError as error:
-        print(f"profess run: {error}", file=sys.stderr)
-        return 2
+    runner = _make_runner(args)
     summary = runner.resume_summary()
     if summary is not None:
         print(summary)
@@ -564,14 +546,9 @@ def _report(args: argparse.Namespace) -> int:
         format_run_stats,
         generate_experiments_md,
     )
-    from repro.common.errors import InvalidValueError
     from repro.experiments.store import ResultStore
 
-    try:
-        runner = _make_runner(args)
-    except InvalidValueError as error:
-        print(f"profess report: {error}", file=sys.stderr)
-        return 2
+    runner = _make_runner(args)
     store = ResultStore(args.store) if args.store is not None else None
     started = time.time()
     generate_experiments_md(runner, args.output, store=store)
@@ -639,12 +616,11 @@ def _perf_sweep(args: argparse.Namespace) -> int:
     payload = run_sweep_benchmark(
         count=args.sweep_specs,
         jobs=args.jobs,
-        transport=args.transport,
         progress=progress,
     )
     print(
         f"sweep    {payload['spec_count']} specs  "
-        f"jobs={payload['jobs']} transport={payload['transport']}  "
+        f"jobs={payload['jobs']}  "
         f"{payload['requests_per_sec']:>11,.0f} requests/sec  "
         f"peak RSS {payload['peak_rss_mb']:,.1f} MiB"
     )
@@ -902,8 +878,28 @@ def _policies(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    Bad input that gets past the parser (e.g. a ``--scale`` the paper
+    system cannot divide by) surfaces as a :class:`ReproError`: one
+    line on stderr and exit 2, never a traceback.
+    """
+    from repro.common.errors import ReproError
+    from repro.exec import SweepFailure, format_failure_table
+
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except SweepFailure as error:
+        # Runs failed (--fail-fast): not a usage error.
+        print(format_failure_table(error.failures), file=sys.stderr)
+        return 1
+    except ReproError as error:
+        print(f"profess {args.command}: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "list":
         width = max(len(i) for i in EXPERIMENTS)
         for experiment_id, spec in EXPERIMENTS.items():

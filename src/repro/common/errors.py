@@ -35,7 +35,7 @@ class PolicySpecError(InvalidValueError):
 
     Raised by :meth:`repro.policies.registry.PolicySpec.parse` and the
     spec constructor; derives from :class:`InvalidValueError` so callers
-    that caught the old ``make_policy`` errors keep working.
+    that catch the builtin ``ValueError`` keep working.
     """
 
 

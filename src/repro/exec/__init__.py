@@ -1,6 +1,6 @@
 """Execution subsystem: unified run specs, disk caching, parallelism.
 
-Seven layers (see DESIGN.md §9 / §15 / §17):
+Six layers (see DESIGN.md §9 / §15 / §17):
 
 * :class:`~repro.exec.spec.RunSpec` — a frozen, content-addressed
   description of one simulation.
@@ -10,9 +10,6 @@ Seven layers (see DESIGN.md §9 / §15 / §17):
 * :class:`~repro.exec.executor.Executor` — batch execution over a
   process pool with deterministic ordering, per-spec fault isolation,
   retries, wall-clock timeouts, and worker replacement.
-* :mod:`repro.exec.transport` — the shm result transport: workers write
-  length-prefixed frames into mmap-backed segments and return small
-  handles over the pool pipe instead of pickled result dicts.
 * :mod:`repro.exec.streaming` — wave reducers (``run_wave(...,
   reducer=...)``) that fold completions as they land, so figure sweeps
   never materialize a full wave in the parent.
@@ -20,7 +17,7 @@ Seven layers (see DESIGN.md §9 / §15 / §17):
   (:class:`RunFailure`, :class:`RetryPolicy`) and the append-only
   :class:`RunJournal` behind ``profess run --resume``.
 * :mod:`repro.exec.chaos` — deterministic fault injection for testing
-  every degradation path, including frame-write faults.
+  every degradation path.
 """
 
 from repro.exec.cache import CACHE_VERSION, ResultCache
@@ -42,25 +39,12 @@ from repro.exec.resilience import (
 )
 from repro.exec.spec import RunSpec, build_traces, workload_traces
 from repro.exec.streaming import GroupReducer, ListReducer, WaveReducer
-from repro.exec.transport import (
-    TRANSPORTS,
-    FrameCorruptionError,
-    FrameHandle,
-    FrameReader,
-    FrameWriter,
-    ShmSession,
-    resolve_transport,
-)
 
 __all__ = [
     "CACHE_VERSION",
     "ChaosError",
     "ChaosPlan",
     "Executor",
-    "FrameCorruptionError",
-    "FrameHandle",
-    "FrameReader",
-    "FrameWriter",
     "GroupReducer",
     "ListReducer",
     "ResultCache",
@@ -69,10 +53,8 @@ __all__ = [
     "RunFailure",
     "RunJournal",
     "RunSpec",
-    "ShmSession",
     "SpecTimeoutError",
     "SweepFailure",
-    "TRANSPORTS",
     "TruncatingResultCache",
     "WaveReducer",
     "WaveResult",
@@ -80,6 +62,5 @@ __all__ = [
     "build_traces",
     "execute_spec",
     "format_failure_table",
-    "resolve_transport",
     "workload_traces",
 ]

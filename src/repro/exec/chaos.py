@@ -39,11 +39,6 @@ ACTION_KILL = "kill"
 ACTION_RAISE = "raise"
 ACTION_STALL = "stall"
 
-#: Frame-transport injection kinds (shm transport only): applied at
-#: frame-*write* time, after the simulation itself succeeded.
-ACTION_FRAME_KILL = "frame-kill"
-ACTION_FRAME_CORRUPT = "frame-corrupt"
-
 
 class ChaosError(ReproError):
     """The injected mid-simulation failure.
@@ -83,27 +78,12 @@ class ChaosPlan:
     stall_rate: float = 0.0
     #: How long a stalled spec sleeps before giving up on being killed.
     stall_seconds: float = 30.0
-    #: Probability a worker dies *mid-frame-write* (shm transport): the
-    #: simulation succeeds, a partial frame lands on disk, and the
-    #: process exits before its handle crosses the pipe.
-    frame_kill_rate: float = 0.0
-    #: Probability a frame's payload is silently truncated on write (shm
-    #: transport): the handle arrives intact but the parent's digest
-    #: check must reject the bytes it points at.
-    frame_corrupt_rate: float = 0.0
     #: Attempts eligible for injection (1 = first attempt only, so every
     #: retry deterministically succeeds).
     inject_attempts: int = 1
 
     def __post_init__(self) -> None:
-        rates = (
-            self.kill_rate,
-            self.raise_rate,
-            self.stall_rate,
-            self.frame_kill_rate,
-            self.frame_corrupt_rate,
-        )
-        for rate in rates:
+        for rate in (self.kill_rate, self.raise_rate, self.stall_rate):
             if not 0.0 <= rate <= 1.0:
                 raise InvalidValueError("chaos rates must be in [0, 1]")
         if self.inject_attempts < 0:
@@ -128,43 +108,11 @@ class ChaosPlan:
             return ACTION_STALL
         return None
 
-    def frame_action_for(self, key: str, attempt: int) -> Optional[str]:
-        """The frame-write fault for one attempt, or None (clean write).
-
-        Evaluated by the shm transport after the simulation itself ran
-        clean; kill takes precedence over corruption, mirroring
-        :meth:`action_for`.
-        """
-        if attempt > self.inject_attempts:
-            return None
-        if (
-            self._fraction(key, attempt, ACTION_FRAME_KILL)
-            < self.frame_kill_rate
-        ):
-            return ACTION_FRAME_KILL
-        if (
-            self._fraction(key, attempt, ACTION_FRAME_CORRUPT)
-            < self.frame_corrupt_rate
-        ):
-            return ACTION_FRAME_CORRUPT
-        return None
-
     def victims(self, keys: list[str], attempt: int = 1) -> dict[str, str]:
         """key -> action for every key the plan will touch (test oracle)."""
         actions = {}
         for key in keys:
             action = self.action_for(key, attempt)
-            if action is not None:
-                actions[key] = action
-        return actions
-
-    def frame_victims(
-        self, keys: list[str], attempt: int = 1
-    ) -> dict[str, str]:
-        """key -> frame fault the plan will inject (test oracle)."""
-        actions = {}
-        for key in keys:
-            action = self.frame_action_for(key, attempt)
             if action is not None:
                 actions[key] = action
         return actions

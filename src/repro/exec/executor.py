@@ -43,13 +43,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.common.errors import InvalidValueError
 from repro.exec.cache import ResultCache
-from repro.exec.chaos import (
-    ACTION_FRAME_CORRUPT,
-    ACTION_FRAME_KILL,
-    ChaosKilledError,
-    ChaosPlan,
-    apply_chaos,
-)
+from repro.exec.chaos import ChaosPlan, apply_chaos
 from repro.exec.resilience import (
     RetryPolicy,
     RunFailure,
@@ -61,16 +55,6 @@ from repro.exec.resilience import (
 )
 from repro.exec.spec import RunSpec, build_traces
 from repro.exec.streaming import WaveReducer
-from repro.exec.transport import (
-    HEADER_SIZE,
-    TRANSPORT_SHM,
-    FrameCorruptionError,
-    FrameHandle,
-    ShmSession,
-    encode_result,
-    resolve_transport,
-    writer_for,
-)
 from repro.sim.results import SimulationResult
 
 #: Result provenance labels reported via :class:`RunEvent`.
@@ -127,56 +111,6 @@ def _guarded_execute(
         if chaos is not None:
             apply_chaos(chaos, key, attempt, in_worker=in_worker)
         return _timed_execute(spec)
-    except Exception as error:
-        raise WorkerFailure.wrap(key, run_id, spec.describe(), error) from None
-
-
-def _guarded_execute_frame(
-    spec: RunSpec,
-    run_id: str,
-    attempt: int,
-    directory: str,
-    chaos: Optional[ChaosPlan] = None,
-    in_worker: bool = True,
-) -> FrameHandle:
-    """The shm-transport pool task: run, then *write* instead of return.
-
-    The result is encoded into a frame in this process's segment file
-    under ``directory`` and only the :class:`FrameHandle` crosses the
-    pool pipe.  Frame-level chaos is injected here, after the simulation
-    itself succeeded: a frame-kill writes half a frame and dies (the
-    on-disk picture of a worker lost mid-write — the handle never
-    arrives), a frame-corrupt returns an intact handle over truncated
-    bytes (the parent's digest check must refuse them).
-    """
-    key = spec.cache_key()
-    try:
-        if chaos is not None:
-            apply_chaos(chaos, key, attempt, in_worker=in_worker)
-        result, elapsed = _timed_execute(spec)
-        payload = encode_result(result)
-        writer = writer_for(directory)
-        action = (
-            chaos.frame_action_for(key, attempt)
-            if chaos is not None
-            else None
-        )
-        if action == ACTION_FRAME_KILL:
-            writer.write(
-                key, payload, elapsed,
-                keep=HEADER_SIZE + len(payload) // 2,
-            )
-            if in_worker:
-                os._exit(3)
-            raise ChaosKilledError(
-                f"chaos: worker killed mid-frame-write for {key[:12]} "
-                f"attempt {attempt}"
-            )
-        keep: Optional[int] = None
-        if action == ACTION_FRAME_CORRUPT:
-            # Commit the handle but lose the payload's tail bytes.
-            keep = HEADER_SIZE + max(0, len(payload) - 7)
-        return writer.write(key, payload, elapsed, keep=keep)
     except Exception as error:
         raise WorkerFailure.wrap(key, run_id, spec.describe(), error) from None
 
@@ -275,18 +209,12 @@ class Executor:
         fail_fast: bool = False,
         chaos: Optional[ChaosPlan] = None,
         run_id: Optional[str] = None,
-        transport: str = "auto",
     ) -> None:
         if jobs < 1:
             raise InvalidValueError("jobs must be >= 1")
         if run_timeout is not None and run_timeout <= 0:
             raise InvalidValueError("run_timeout must be > 0 (or None)")
-        # Validate the name eagerly; `auto` resolves per wave.  Like
-        # `mem_backend`, transport is an execution detail: it never
-        # enters cache keys and never changes result bytes.
-        resolve_transport(transport, jobs)
         self.jobs = jobs
-        self.transport = transport
         self.cache = cache
         self.on_run = on_run
         self.retry = retry if retry is not None else RetryPolicy(retries=0)
@@ -302,8 +230,6 @@ class Executor:
         self.retried = 0
         #: Every spec that ultimately failed, across this executor's life.
         self.failures: list[RunFailure] = []
-        #: The active wave's shm session (None under the pickle path).
-        self._session: Optional[ShmSession] = None
 
     # ------------------------------------------------------------------
     def run(self, spec: RunSpec) -> SimulationResult:
@@ -359,20 +285,10 @@ class Executor:
             else:
                 pending.append((key, spec))
         failures: list[RunFailure] = []
-        if pending:
-            use_shm = (
-                resolve_transport(self.transport, self.jobs) == TRANSPORT_SHM
-            )
-            self._session = ShmSession.create() if use_shm else None
-            try:
-                if self.jobs > 1 and len(pending) > 1:
-                    self._run_pool(pending, sink, failures)
-                else:
-                    self._run_serial(pending, sink, failures)
-            finally:
-                session, self._session = self._session, None
-                if session is not None:
-                    session.close()
+        if self.jobs > 1 and len(pending) > 1:
+            self._run_pool(pending, sink, failures)
+        else:
+            self._run_serial(pending, sink, failures)
         self.failures.extend(failures)
         if reducer is not None:
             for failure in failures:
@@ -400,20 +316,6 @@ class Executor:
             self.cache.put(spec, result)
         self._journal_completed(key, source, elapsed)
         self._notify(RunEvent(spec, result, elapsed, source))
-
-    def _decode(
-        self, spec: RunSpec, handle: FrameHandle
-    ) -> tuple[SimulationResult, float]:
-        """Map and verify one frame; corruption becomes a retryable
-        :class:`WorkerFailure` (the simulation is fine — only this copy
-        of its result was lost in transport)."""
-        assert self._session is not None
-        try:
-            return self._session.reader.read(handle)
-        except FrameCorruptionError as error:
-            raise WorkerFailure.wrap(
-                handle.key, self.run_id, spec.describe(), error
-            ) from None
 
     def _fail(
         self,
@@ -443,14 +345,7 @@ class Executor:
 
     def _journal_completed(self, key: str, source: str, elapsed: float) -> None:
         if self.journal is not None:
-            transport = None
-            if source != SOURCE_CACHE:
-                transport = (
-                    TRANSPORT_SHM if self._session is not None else "pickle"
-                )
-            self.journal.completed(
-                key, self.run_id, source, elapsed, transport=transport
-            )
+            self.journal.completed(key, self.run_id, source, elapsed)
 
     def _backoff(self, key: str, attempt: int) -> None:
         delay = self.retry.backoff(key, attempt)
@@ -471,22 +366,10 @@ class Executor:
             while True:
                 self._journal_submitted(key, spec, attempt)
                 try:
-                    if self._session is not None:
-                        # Explicit shm with jobs == 1: round-trip the
-                        # result through a real frame in-process, so the
-                        # encode/decode path is exercised (and parity-
-                        # testable) without a pool.
-                        handle = _guarded_execute_frame(
-                            spec, self.run_id, attempt,
-                            self._session.directory, self.chaos,
-                            in_worker=False,
-                        )
-                        result, elapsed = self._decode(spec, handle)
-                    else:
-                        result, elapsed = _guarded_execute(
-                            spec, self.run_id, attempt, self.chaos,
-                            in_worker=False,
-                        )
+                    result, elapsed = _guarded_execute(
+                        spec, self.run_id, attempt, self.chaos,
+                        in_worker=False,
+                    )
                 except WorkerFailure as error:
                     if self.retry.should_retry(error, attempt):
                         self.retried += 1
@@ -554,16 +437,9 @@ class Executor:
         try:
             for key, spec, attempt in items:
                 self._journal_submitted(key, spec, attempt)
-                if self._session is not None:
-                    future = pool.submit(
-                        _guarded_execute_frame, spec, self.run_id, attempt,
-                        self._session.directory, self.chaos,
-                    )
-                else:
-                    future = pool.submit(
-                        _guarded_execute, spec, self.run_id, attempt,
-                        self.chaos,
-                    )
+                future = pool.submit(
+                    _guarded_execute, spec, self.run_id, attempt, self.chaos
+                )
                 inflight[future] = _Flight(key, spec, attempt)
             while inflight:
                 done, _ = wait(
@@ -611,20 +487,7 @@ class Executor:
             return False
         error = future.exception()
         if error is None:
-            payload = future.result()
-            if isinstance(payload, FrameHandle):
-                try:
-                    result, elapsed = self._decode(flight.spec, payload)
-                except WorkerFailure as decode_error:
-                    # The frame failed verification: a transport loss,
-                    # re-attempted like any transient fault.
-                    self._requeue_or_fail(
-                        flight.key, flight.spec, flight.attempt,
-                        decode_error, queue, failures,
-                    )
-                    return False
-            else:
-                result, elapsed = payload
+            result, elapsed = future.result()
             self._complete(
                 flight.key, flight.spec, result, elapsed, SOURCE_POOL, sink
             )

@@ -31,7 +31,6 @@ import traceback
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from repro.common.errors import InvalidValueError, ReproError, SimulationError
 
@@ -346,21 +345,16 @@ class RunJournal:
         run_id: str,
         source: str,
         elapsed: float,
-        transport: Optional[str] = None,
     ) -> None:
-        record = {
-            "event": "completed",
-            "key": key,
-            "run_id": run_id,
-            "source": source,
-            "elapsed": round(elapsed, 6),
-        }
-        # Recorded for post-mortem only: replay ignores it, and a
-        # journal written under one transport resumes under another
-        # (transport never changes result bytes).
-        if transport is not None:
-            record["transport"] = transport
-        self.append(record)
+        self.append(
+            {
+                "event": "completed",
+                "key": key,
+                "run_id": run_id,
+                "source": source,
+                "elapsed": round(elapsed, 6),
+            }
+        )
 
     def failed(self, failure: RunFailure, run_id: str) -> None:
         self.append(

@@ -17,9 +17,7 @@ registering a new policy automatically enrolls it.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-from typing import Optional, Sequence
+from typing import Sequence, Tuple
 
 from repro.common.stats import geomean
 from repro.exec import format_failure_table
@@ -219,15 +217,13 @@ def run_prediction_accuracy(runner: ExperimentRunner) -> ExperimentResult:
 
 def _streamed_matrix_cells(
     runner: ExperimentRunner, cells: Sequence[PolicySpec]
-) -> Optional[StreamedMetricsSweep]:
-    """Run the matrix as one streamed wave; None for legacy stubs.
+) -> StreamedMetricsSweep:
+    """Run the matrix as one streamed wave.
 
     One accumulator cell per canonical policy on :data:`MATRIX_WORKLOAD`;
     the mix-run scalars the table reports (swaps, STC hit rate) are
     captured at fold time, so the full results are never retained.
     """
-    if not hasattr(runner, "run_streamed"):
-        return None
     accumulator = StreamedMetricsSweep(runner)
     wave: list = []
     for cell in cells:
@@ -244,7 +240,7 @@ def run_policy_matrix(runner: ExperimentRunner) -> ExperimentResult:
     """Cross-product policy/axis sweep on one contended workload (w09).
 
     One cell per point of :func:`matrix_cells` (base algorithm x RSM
-    guidance x STC replacement); the whole wave is prefetched through
+    guidance x STC replacement); the whole wave is streamed through
     the runner's executor so ``--jobs N`` fans the sweep out over the
     process pool with results identical to serial execution.  The
     CLI's repeatable ``--policy SPEC`` (``runner.policy_specs``)
@@ -267,25 +263,17 @@ def run_policy_matrix(runner: ExperimentRunner) -> ExperimentResult:
         policy = cell.canonical()
         guidance = "rsm" if cell.guidance else "-"
         stc = cell.stc_replacement or "lru"
-        if streamed is not None:
-            record = streamed.cells.get(policy)
-            if record is None:
-                # The cell lost a run after retries: a FAILED row, never
-                # a figure abort (the failure table lands in the notes).
-                rows.append(
-                    [policy, cell.base, guidance, stc,
-                     "FAILED", "FAILED", "-", "-", "-"]
-                )
-                failed_cells += 1
-                continue
-            metrics = record.metrics
-            total_swaps = record.total_swaps
-            stc_hit_rate = record.stc_hit_rate
-        else:
-            metrics = runner.workload_metrics(MATRIX_WORKLOAD, policy)
-            result = runner.run_workload(MATRIX_WORKLOAD, policy)
-            total_swaps = result.total_swaps
-            stc_hit_rate = result.stc_hit_rate
+        record = streamed.cells.get(policy)
+        if record is None:
+            # The cell lost a run after retries: a FAILED row, never a
+            # figure abort (the failure table lands in the notes).
+            rows.append(
+                [policy, cell.base, guidance, stc,
+                 "FAILED", "FAILED", "-", "-", "-"]
+            )
+            failed_cells += 1
+            continue
+        metrics = record.metrics
         rows.append(
             [
                 policy,
@@ -294,8 +282,8 @@ def run_policy_matrix(runner: ExperimentRunner) -> ExperimentResult:
                 stc,
                 metrics.weighted_speedup,
                 metrics.unfairness,
-                total_swaps,
-                stc_hit_rate,
+                record.total_swaps,
+                record.stc_hit_rate,
                 metrics.energy_efficiency,
             ]
         )

@@ -45,8 +45,6 @@ def sweep(
     compare against the requested ``workloads`` list and consult
     ``runner.failures`` for the cause.
     """
-    if not hasattr(runner, "run_streamed"):
-        return _materialized_sweep(runner, policies, workloads)
     accumulator = StreamedMetricsSweep(runner)
     wave: list = []
     for name in workloads:
@@ -69,39 +67,6 @@ def sweep(
         if len(per_policy) == len(policies):
             metrics[name] = per_policy
     return metrics
-
-
-def _materialized_sweep(
-    runner: ExperimentRunner,
-    policies: Sequence[str],
-    workloads: Sequence[str],
-) -> dict[str, dict[str, WorkloadMetrics]]:
-    """The guaranteed-identical fallback: prefetch, then reduce.
-
-    Used for runner stand-ins that predate streaming (duck-typed test
-    stubs); the property suite asserts its output matches the streamed
-    path cell for cell.
-    """
-    specs_by_workload = {
-        name: [
-            spec
-            for policy in policies
-            for spec in runner.workload_metric_specs(name, policy)
-        ]
-        for name in workloads
-    }
-    runner.prefetch(
-        [spec for specs in specs_by_workload.values() for spec in specs]
-    )
-    failed = runner.failed_keys()
-    return {
-        name: {
-            policy: runner.workload_metrics(name, policy)
-            for policy in policies
-        }
-        for name in workloads
-        if not any(spec.cache_key() in failed for spec in specs_by_workload[name])
-    }
 
 
 def normalized_figure(

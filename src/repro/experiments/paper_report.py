@@ -220,19 +220,17 @@ def _header(description: str) -> list[str]:
         "DESIGN.md §15 for the full failure-handling contract.",
         "",
         "Measuring sweep memory footprint: `profess perf --sweep",
-        "--sweep-specs 200 --jobs 4 --transport shm` runs a synthetic",
-        "200-spec wave through the shared-memory transport with a",
-        "streaming reducer and writes `BENCH_sweep.json` (aggregate",
+        "--sweep-specs 200 --jobs 4` runs a synthetic 200-spec wave",
+        "through the executor with a streaming reducer and writes",
+        "`BENCH_sweep.json` (aggregate",
         "requests/sec plus the parent's peak RSS in MiB); `--baseline",
         "benchmarks/baselines/sweep_rss_baseline.json` fails below",
         "0.7× baseline throughput or above the `--max-rss-ratio`",
         "(default 1.4×) RSS ceiling — a change that re-materializes",
         "full results in the parent scales RSS with spec count and",
         "trips it.  `profess run <id> --verbose` prints the same",
-        "`parent peak RSS` line after any sweep, and `--transport",
-        "pickle|shm` pins the transport for an A/B (results are",
-        "byte-identical either way; only memory and speed move).  CI",
-        "runs this as the `sweep-scale` job with a delta table on the",
+        "`parent peak RSS` line after any sweep.  CI runs this as the",
+        "`sweep-scale` job with a delta table on the",
         "run's *Summary* page.  See DESIGN.md §17.",
         "",
     ]

@@ -79,7 +79,6 @@ class ExperimentRunner:
         run_timeout: Optional[float] = None,
         fail_fast: bool = False,
         resume: bool = False,
-        transport: str = "auto",
     ) -> None:
         self.scale = scale
         self.multi_requests = multi_requests
@@ -130,10 +129,6 @@ class ExperimentRunner:
         self.resume_state: Optional[JournalState] = (
             self.journal.replay() if resume and self.journal else None
         )
-        #: Result transport ("auto"/"pickle"/"shm"), forwarded to the
-        #: executor.  Like mem_backend: an execution detail, excluded
-        #: from cache keys, byte-identical by contract.
-        self.transport = transport
         self.executor = Executor(
             jobs=jobs,
             cache=self.cache,
@@ -142,7 +137,6 @@ class ExperimentRunner:
             run_timeout=run_timeout,
             journal=self.journal,
             fail_fast=fail_fast,
-            transport=transport,
         )
         self._memory: dict[str, SimulationResult] = {}
         #: Batch requests served from the in-process memo.
@@ -280,15 +274,6 @@ class ExperimentRunner:
         )
         return specs
 
-    def workload_metric_specs(
-        self,
-        workload_name: str,
-        policy: str,
-        config: Optional[SystemConfig] = None,
-    ) -> list[RunSpec]:
-        """Every spec :meth:`workload_metrics` needs for one workload."""
-        return self.metric_specs(WORKLOADS[workload_name], policy, config)
-
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -406,10 +391,6 @@ class ExperimentRunner:
     def failures(self) -> list[RunFailure]:
         """Every spec that exhausted retries, across all waves so far."""
         return self.executor.failures
-
-    def failed_keys(self) -> set[str]:
-        """Cache keys of failed specs (figure drivers skip these rows)."""
-        return {failure.key for failure in self.executor.failures}
 
     def resume_summary(self) -> Optional[str]:
         """One-line journal digest when resuming, else None."""

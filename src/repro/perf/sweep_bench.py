@@ -3,15 +3,15 @@
 Where the kernel benchmark (:mod:`repro.perf.bench`) measures how fast
 one simulation runs, this one measures how well the *execution
 subsystem* carries a wide wave: it fans a few hundred small single-core
-specs through the real :class:`~repro.exec.executor.Executor` under a
-chosen transport, folds every result through a counting reducer (so the
-parent never materializes the wave — the scenario the shm transport and
-streaming aggregation exist for), and records two numbers that gate CI:
+specs through the real :class:`~repro.exec.executor.Executor`, folds
+every result through a counting reducer (so the parent never
+materializes the wave — the scenario streaming aggregation exists for),
+and records two numbers that gate CI:
 
 * sustained throughput (requests simulated per second of wall clock);
 * the parent process's **peak RSS** (``ru_maxrss``) — the headline
-  property: with frames in shared memory and streaming reduction, parent
-  memory must stay flat no matter how many specs the wave holds.
+  property: with streaming reduction, parent memory must stay flat no
+  matter how many specs the wave holds.
 
 The payload lands in ``BENCH_sweep.json`` and
 :func:`compare_sweep_to_baseline` backs the ``sweep-scale`` CI job:
@@ -120,7 +120,6 @@ class _CountingReducer:
 def run_sweep_benchmark(
     count: int = 200,
     jobs: int = 1,
-    transport: str = "auto",
     progress: Optional[Callable[[str], None]] = None,
 ) -> dict:
     """Run the sweep-scale benchmark; returns the ``BENCH_sweep.json``
@@ -133,7 +132,7 @@ def run_sweep_benchmark(
     """
     specs = build_sweep_specs(count)
     reducer = _CountingReducer(progress)
-    executor = Executor(jobs=jobs, transport=transport)
+    executor = Executor(jobs=jobs)
     started = time.perf_counter()
     executor.run_wave(specs, reducer=reducer)
     wall_seconds = time.perf_counter() - started
@@ -143,7 +142,6 @@ def run_sweep_benchmark(
         "kind": "sweep",
         "spec_count": count,
         "jobs": jobs,
-        "transport": transport,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "completed": reducer.completed,
@@ -227,7 +225,6 @@ def sweep_markdown_summary(
         "## Sweep-scale benchmark "
         f"({payload.get('spec_count', '?')} specs, "
         f"jobs={payload.get('jobs', '?')}, "
-        f"transport={payload.get('transport', '?')}, "
         f"Python {payload.get('python', '?')})",
         "",
         "| metric | current | baseline | delta |",

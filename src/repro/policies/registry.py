@@ -21,8 +21,7 @@ text form composes with ``+``::
     mdm+rsm+bypass:0.05+stc:lfu
 
 Policy classes register themselves with :func:`register_policy`;
-:func:`build_policy` replaces the old ``make_policy`` name-to-constructor
-mapping and is the ONLY sanctioned way to construct a policy outside
+:func:`build_policy` is the ONLY sanctioned way to construct a policy outside
 ``repro.policies`` / ``repro.core`` (lint rule C305 enforces this).
 
 Canonicalization keeps cache keys stable and deduplicated: a spec whose

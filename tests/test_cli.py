@@ -36,30 +36,23 @@ class TestParser:
         assert args.jobs == 4
         assert str(args.cache_dir) == "c"
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_rejects_nonpositive_jobs(self, jobs, capsys):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
+            ("--requests", "0"),
+            ("--single-requests", "0"),
+            ("--single-requests", "-5"),
+        ],
+        ids=["0", "-3", "requests-0", "single-requests-0", "single-requests--5"],
+    )
+    def test_rejects_nonpositive_jobs(self, flag, value, capsys):
+        # Worker and request counts share one positive-count check.
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["run", "fig5", "--jobs", jobs])
+            build_parser().parse_args(["run", "fig5", flag, value])
         assert excinfo.value.code == 2
         assert "must be >= 1" in capsys.readouterr().err
-
-    def test_transport_defaults_to_auto(self):
-        for command in (["run", "fig5"], ["report"]):
-            assert build_parser().parse_args(command).transport == "auto"
-
-    def test_transport_accepts_known_names(self):
-        args = build_parser().parse_args(
-            ["run", "fig5", "--transport", "shm"]
-        )
-        assert args.transport == "shm"
-
-    def test_rejects_unknown_transport(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(
-                ["run", "fig5", "--transport", "carrier-pigeon"]
-            )
-        assert excinfo.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
 
     def test_rejects_cache_dir_that_is_a_file(self, tmp_path, capsys):
         blocker = tmp_path / "notadir"
@@ -83,12 +76,21 @@ class TestMain:
         assert "fig5" in out
         assert "table4" in out
 
-    def test_unknown_experiment_exits_two(self, capsys):
+    @pytest.mark.parametrize(
+        "experiment, scale, message",
+        [("fig99", "128", "fig99"), ("fig5", "3", "power of two")],
+        ids=["unknown-experiment", "scale-3"],
+    )
+    def test_bad_request_exits_two(self, experiment, scale, message, capsys):
+        # Bad input is one line on stderr and exit 2, never a traceback.
         code = main(
-            ["run", "fig99", "--scale", "128", "--requests", "500",
+            ["run", experiment, "--scale", scale, "--requests", "500",
              "--single-requests", "500"]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
     def test_unknown_id_in_list_aborts_before_running(self, tmp_path, capsys):
         # table1 is valid and cheap, but the bad trailing id must abort
@@ -256,7 +258,6 @@ class TestPerfSweep:
         assert args.sweep
         assert args.sweep_specs == 200
         assert args.jobs == 1
-        assert args.transport == "auto"
         assert args.max_rss_ratio == pytest.approx(1.4)
         assert args.out is None
 
@@ -264,7 +265,7 @@ class TestPerfSweep:
         out = tmp_path / "BENCH_sweep.json"
         summary = tmp_path / "summary.md"
         code = main(
-            ["perf", "--sweep", "--sweep-specs", "6", "--transport", "shm",
+            ["perf", "--sweep", "--sweep-specs", "6",
              "--out", str(out), "--summary", str(summary)]
         )
         assert code == 0
@@ -288,7 +289,7 @@ class TestPerfSweep:
         recorded = tmp_path / "baseline.json"
         recorded.write_text(json.dumps(baseline))
         code = main(
-            ["perf", "--sweep", "--sweep-specs", "6", "--transport", "shm",
+            ["perf", "--sweep", "--sweep-specs", "6",
              "--out", str(tmp_path / "b2.json"),
              "--baseline", str(recorded)]
         )

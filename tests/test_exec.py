@@ -12,6 +12,7 @@ from repro.common.config import (
 from repro.exec import (
     CACHE_VERSION,
     Executor,
+    ListReducer,
     ResultCache,
     RunSpec,
     execute_spec,
@@ -19,6 +20,7 @@ from repro.exec import (
 from repro.exec import cache as cache_module
 from repro.experiments.registry import run_experiment
 from repro.experiments.runner import ExperimentRunner
+from repro.sim.golden import result_digest
 
 SCALE = 128
 CONFIG = paper_single_core(scale=SCALE)
@@ -262,13 +264,35 @@ class TestExecutor:
         assert executor.executed == 1
         assert results[0] is results[1] is results[2]
 
-    def test_parallel_identical_to_serial(self):
+    @pytest.mark.parametrize(
+        "jobs, streamed",
+        [(2, False), (1, True), (2, True)],
+        ids=["pooled", "serial-reducer", "pooled-reducer"],
+    )
+    def test_parallel_identical_to_serial(self, jobs, streamed):
+        # Pooled waves, and waves folded through a reducer, yield the
+        # byte-identical results of a serial run_many.
         specs = self._specs()
         serial = Executor(jobs=1).run_many(specs)
-        parallel = Executor(jobs=2).run_many(specs)
-        assert [r.to_dict() for r in serial] == [
-            r.to_dict() for r in parallel
-        ]
+        expected = {
+            s.cache_key(): result_digest(r) for s, r in zip(specs, serial)
+        }
+        executor = Executor(jobs=jobs)
+        if streamed:
+            reducer = ListReducer()
+            wave = executor.run_wave(specs, reducer=reducer)
+            assert wave.results == [None] * len(specs)
+            digests = {
+                key: result_digest(r) for key, r in reducer.by_key.items()
+            }
+        else:
+            results = executor.run_many(specs)
+            digests = {
+                s.cache_key(): result_digest(r)
+                for s, r in zip(specs, results)
+            }
+        assert digests == expected
+        assert executor.executed == len(specs)
 
     def test_events_reported(self, tmp_path):
         events = []

@@ -1,12 +1,12 @@
 """Extension-experiment driver tests with a stubbed runner."""
 
+from repro.experiments.accumulators import CellMetrics
 from repro.experiments.extensions import (
     run_policy_matrix,
     run_random_mixes,
     run_rsm_pom,
 )
 from repro.sim.metrics import WorkloadMetrics
-from repro.sim.results import ProgramResult, SimulationResult
 
 
 def _metrics(policy, unfairness, speedup):
@@ -36,6 +36,14 @@ QUALITY = {
 }
 
 
+class FakeSpec:
+    def __init__(self, key):
+        self.key = key
+
+    def cache_key(self):
+        return self.key
+
+
 class StubRunner:
     scale = 128
     seed = 0
@@ -52,22 +60,22 @@ class StubRunner:
     def mix_metrics(self, programs, policy, config=None):
         return self.workload_metrics("mix", policy)
 
-    def run_workload(self, name, policy, config=None):
-        return SimulationResult(
-            policy=policy,
-            cycles=1000,
-            programs=tuple(
-                ProgramResult(p, i, 100, 0.5, 10, 0.5, 1, 0)
-                for i, p in enumerate("abcd")
-            ),
-            total_requests=40,
-            total_swaps=3,
-            swap_fraction=0.03,
-            average_read_latency=100.0,
-            stc_hit_rate=0.9,
-            energy_joules=1.0,
-            energy_efficiency=1e6,
-        )
+    # The policy matrix streams its cells; every one is a memo hit here.
+    sp_reference = "pom"
+
+    def quad_config(self):
+        return None
+
+    def spec_mix(self, programs, policy, config=None):
+        return FakeSpec(f"mix:{policy}")
+
+    def cached_cell(self, mix_spec, reference):
+        policy = mix_spec.cache_key().split(":", 1)[1]
+        metrics = self.workload_metrics("w09", policy)
+        return CellMetrics(metrics, total_swaps=3, stc_hit_rate=0.9)
+
+    def run_streamed(self, specs, reducer):
+        assert not specs  # every cell came from cached_cell
 
 
 class TestRSMPoMDecomposition:

@@ -4,9 +4,9 @@ import pytest
 
 from repro.cache.stc import STCEntry
 from repro.common.config import paper_quad_core
-from repro.core.mdm import MDMPolicy
 from repro.hybrid.st_entry import STEntry
 from repro.policies.base import AccessContext
+from repro.policies.registry import build_policy
 
 CONFIG = paper_quad_core(scale=64)
 
@@ -53,9 +53,9 @@ def make_ctx(
     )
 
 
-def make_policy(owners=None, exp=None):
+def mdm_policy(owners=None, exp=None):
     """Policy with per-(program, q_I) expected counts forced via stats."""
-    policy = MDMPolicy(CONFIG)
+    policy = build_policy("mdm", CONFIG)
     policy.bind(FakeController(owners))
     if exp:
         for (program, q_i), value in exp.items():
@@ -65,35 +65,35 @@ def make_policy(owners=None, exp=None):
 
 class TestTopLevelCondition:
     def test_m1_access_never_swaps(self):
-        policy = make_policy()
+        policy = mdm_policy()
         assert policy.on_access(make_ctx(slot=0, location=0)) is None
 
     def test_low_remaining_no_swap(self):
-        policy = make_policy(exp={(0, 0): 5.0})  # rem = 5 - 1 < 8
+        policy = mdm_policy(exp={(0, 0): 5.0})  # rem = 5 - 1 < 8
         ctx = make_ctx(counters={3: 1})
         assert policy.on_access(ctx) is None
 
     def test_unowned_block_never_promoted(self):
-        policy = make_policy(exp={(0, 0): 100.0})
+        policy = mdm_policy(exp={(0, 0): 100.0})
         ctx = make_ctx(owner=None, counters={3: 1})
         assert policy.on_access(ctx) is None
 
 
 class TestCaseA:
     def test_vacant_m1_promotes_on_benefit(self):
-        policy = make_policy(exp={(0, 0): 20.0})
+        policy = mdm_policy(exp={(0, 0): 20.0})
         ctx = make_ctx(m1_owner=None, counters={3: 1})
         assert policy.on_access(ctx) == 3
 
     def test_vacant_m1_still_requires_benefit(self):
-        policy = make_policy(exp={(0, 0): 6.0})
+        policy = mdm_policy(exp={(0, 0): 6.0})
         ctx = make_ctx(m1_owner=None, counters={3: 1})
         assert policy.on_access(ctx) is None
 
 
 class TestCaseB:
     def test_idle_m1_with_active_group_promotes(self):
-        policy = make_policy(exp={(0, 0): 20.0})
+        policy = mdm_policy(exp={(0, 0): 20.0})
         # M1 resident (slot 0) untouched; accessed M2 block has count 1.
         ctx = make_ctx(counters={3: 1})
         assert policy.on_access(ctx) == 3
@@ -102,7 +102,7 @@ class TestCaseB:
 class TestCaseC:
     def test_ci_promotes_when_m1_exhausted(self):
         # M1 resident predicted to have nothing left: rem_m1 <= 0.
-        policy = make_policy(exp={(0, 0): 20.0, (1, 2): 4.0})
+        policy = mdm_policy(exp={(0, 0): 20.0, (1, 2): 4.0})
         owners = {(7, 0): 1, (7, 3): 0}
         policy.bind(FakeController(owners))
         ctx = make_ctx(
@@ -114,7 +114,7 @@ class TestCaseC:
         assert policy.on_access(ctx) == 3
 
     def test_cii_requires_difference_above_min_benefit(self):
-        policy = make_policy(exp={(0, 0): 30.0, (1, 2): 25.0})
+        policy = mdm_policy(exp={(0, 0): 30.0, (1, 2): 25.0})
         ctx = make_ctx(
             m1_owner=1,
             counters={3: 1, 0: 2},
@@ -124,7 +124,7 @@ class TestCaseC:
         assert policy.on_access(ctx) is None
 
     def test_cii_promotes_on_large_difference(self):
-        policy = make_policy(exp={(0, 0): 40.0, (1, 2): 12.0})
+        policy = mdm_policy(exp={(0, 0): 40.0, (1, 2): 12.0})
         ctx = make_ctx(
             m1_owner=1,
             counters={3: 1, 0: 2},
@@ -136,7 +136,7 @@ class TestCaseC:
 
 class TestStatistics:
     def test_eviction_records_transitions(self):
-        policy = make_policy()
+        policy = mdm_policy()
         st_entry = STEntry(9)
         stc_entry = STCEntry(group=7, qac_at_insert=(0,) * 9)
         stc_entry.counters[2] = 5
@@ -148,7 +148,7 @@ class TestStatistics:
         assert stats.num_q[0][3] == 1  # count 40 -> q_E 3
 
     def test_eviction_writes_back_qac(self):
-        policy = make_policy()
+        policy = mdm_policy()
         st_entry = STEntry(9)
         stc_entry = STCEntry(group=7, qac_at_insert=(0,) * 9)
         stc_entry.counters[2] = 9
@@ -156,7 +156,7 @@ class TestStatistics:
         assert st_entry.qac[2] == 2  # 9 accesses -> QAC 2
 
     def test_untouched_blocks_keep_qac(self):
-        policy = make_policy()
+        policy = mdm_policy()
         st_entry = STEntry(9)
         st_entry.qac[5] = 3
         stc_entry = STCEntry(group=7, qac_at_insert=tuple(st_entry.qac))
@@ -166,7 +166,7 @@ class TestStatistics:
 
     def test_per_program_stats_separate(self):
         owners = {(7, 1): 0, (7, 2): 1}
-        policy = make_policy(owners=owners)
+        policy = mdm_policy(owners=owners)
         st_entry = STEntry(9)
         stc_entry = STCEntry(group=7, qac_at_insert=(0,) * 9)
         stc_entry.counters[1] = 3
@@ -176,11 +176,11 @@ class TestStatistics:
         assert policy.stats_for(1).total_updates == 1
 
     def test_remaining_count_eq8(self):
-        policy = make_policy(exp={(0, 2): 25.0})
+        policy = mdm_policy(exp={(0, 2): 25.0})
         assert policy.remaining_count(0, 2, 10) == pytest.approx(15.0)
 
     def test_write_weight_from_config(self):
-        policy = make_policy()
+        policy = mdm_policy()
         assert policy.write_weight == CONFIG.write_access_weight == 8
         assert policy.access_weight(True) == 8
         assert policy.access_weight(False) == 1
@@ -194,7 +194,7 @@ class TestAblatedBoundaries:
         config = _replace(
             CONFIG, mdm=_replace(CONFIG.mdm, qac_boundaries=(2, 16, 48))
         )
-        policy = MDMPolicy(config)
+        policy = build_policy("mdm", config)
         policy.bind(FakeController())
         st_entry = STEntry(9)
         st_entry.qac[2] = 1

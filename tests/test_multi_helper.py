@@ -3,8 +3,13 @@
 import pytest
 
 from repro.exec.resilience import RunFailure
+from repro.experiments.accumulators import CellMetrics
 from repro.experiments.multi import normalized_figure, sweep
 from repro.sim.metrics import WorkloadMetrics
+from repro.workloads.table10 import WORKLOADS
+
+#: Table 10 program mix -> workload name (the stub keys on names).
+WORKLOAD_OF = {programs: name for name, programs in WORKLOADS.items()}
 
 
 class FakeSpec:
@@ -18,15 +23,20 @@ class FakeSpec:
 
 
 class StubRunner:
-    """Returns canned WorkloadMetrics; counts calls for cache checks."""
+    """Serves canned cells through the streamed-sweep interface.
+
+    Healthy cells come back from ``cached_cell`` and need no run.  A
+    failed workload's PoM cell misses the memo, so its specs reach
+    ``run_streamed``, which folds the canned failure into the reducer.
+    """
+
+    sp_reference = "pom"
 
     def __init__(self, values, failed=()):
         # values[workload][policy] -> (unfairness, weighted_speedup)
         self.values = values
-        self.calls = 0
-        self.prefetched = 0
-        #: Workload names whose (fake) runs failed after retries.
-        self.failed_workloads = set(failed)
+        #: Spec keys of every wave handed to run_streamed.
+        self.streamed = []
         self.failures = [
             RunFailure(
                 key=f"{name}:pom",
@@ -37,24 +47,24 @@ class StubRunner:
                 attempts=1,
                 retryable=False,
             )
-            for name in sorted(self.failed_workloads)
+            for name in sorted(failed)
         ]
 
-    def workload_metric_specs(self, name, policy, config=None):
-        # Canned metrics need no simulations; one fake spec per request
-        # keeps the failure bookkeeping observable.
-        return [FakeSpec(f"{name}:{policy}")]
+    def quad_config(self):
+        return None
 
-    def prefetch(self, specs):
-        self.prefetched += len(specs)
+    def spec_mix(self, programs, policy, config=None):
+        return FakeSpec(f"{WORKLOAD_OF[tuple(programs)]}:{policy}")
 
-    def failed_keys(self):
-        return {f"{name}:pom" for name in self.failed_workloads}
+    def spec_alone(self, program, policy, config=None):
+        return FakeSpec(f"alone:{program}:{policy}")
 
-    def workload_metrics(self, name, policy, config=None):
-        self.calls += 1
+    def cached_cell(self, mix_spec, reference):
+        if any(f.key == mix_spec.key for f in self.failures):
+            return None
+        name, policy = mix_spec.key.split(":")
         unfairness, speedup = self.values[name][policy]
-        return WorkloadMetrics(
+        metrics = WorkloadMetrics(
             policy=policy,
             program_names=("a", "b"),
             slowdowns=(unfairness, unfairness / 2),
@@ -64,6 +74,14 @@ class StubRunner:
             average_read_latency=50.0,
             swap_fraction=0.02,
         )
+        return CellMetrics(metrics, total_swaps=3, stc_hit_rate=0.9)
+
+    def run_streamed(self, specs, reducer):
+        keys = [spec.cache_key() for spec in specs]
+        self.streamed.append(keys)
+        for failure in self.failures:
+            if failure.key in keys:
+                reducer.fold_failure(failure)
 
 
 VALUES = {
@@ -83,8 +101,8 @@ class TestSweep:
         runner = StubRunner(VALUES, failed=["w01"])
         result = sweep(runner, ["pom", "mdm"], workloads=["w01", "w02"])
         assert set(result) == {"w02"}
-        # The failed workload's metrics were never requested.
-        assert runner.calls == 2
+        # Only the failed cell's specs went out as a wave.
+        assert [keys[0] for keys in runner.streamed] == ["w01:pom"]
 
 
 class TestNormalizedFigure:

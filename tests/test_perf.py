@@ -260,7 +260,6 @@ def _sweep_payload(**overrides):
         "kind": "sweep",
         "spec_count": 200,
         "jobs": 4,
-        "transport": "shm",
         "requests_per_sec": 10_000.0,
         "peak_rss_mb": 40.0,
     }
@@ -368,7 +367,7 @@ class TestSweepBenchmark:
 
         specs = build_sweep_specs(8)
         assert len({spec.cache_key() for spec in specs}) == 8
-        payload = run_sweep_benchmark(count=4, jobs=1, transport="pickle")
+        payload = run_sweep_benchmark(count=4, jobs=1)
         assert payload["completed"] == 4
         assert payload["failed"] == 0
         assert payload["total_requests"] > 0

@@ -12,7 +12,7 @@ Covers the full redesigned surface (repro.policies.registry):
 * cache-key compatibility — pre-redesign ``SystemConfig.cache_token()``
   and ``RunSpec.cache_key()`` values are pinned as constants, and
   equivalent spec spellings collapse to one key;
-* the deprecation shims (``make_policy``, class re-exports);
+* the package surface: policy classes import only from their modules;
 * the CLI (``--policy`` validation exits 2, ``profess policies``);
 * serial/parallel byte-identity of the ``ext-policy-matrix`` sweep.
 """
@@ -114,7 +114,7 @@ class TestSpecParsing:
             PolicySpec.parse(text)
 
     def test_spec_error_is_value_error(self):
-        # Callers that caught the old make_policy errors keep working.
+        # Callers that catch the builtin ValueError keep working.
         with pytest.raises(ValueError):
             PolicySpec.parse("mdm+swap:warp")
 
@@ -327,25 +327,17 @@ class TestCacheKeyCompatibility:
 
 
 class TestDeprecationShims:
-    def test_make_policy_warns_and_delegates(self):
-        from repro.policies import make_policy
-
-        with pytest.warns(DeprecationWarning, match="build_policy"):
-            policy = make_policy("pom", CONFIG)
-        assert policy.name == "pom"
-
-    def test_class_reexport_warns(self):
-        import repro.policies as policies
-
-        with pytest.warns(DeprecationWarning, match="build_policy"):
-            cls = policies.PoMPolicy
-        assert cls.__name__ == "PoMPolicy"
+    """The package exposes the registry, not the policy classes."""
 
     def test_unknown_attribute_is_attribute_error(self):
         import repro.policies as policies
 
+        assert not hasattr(policies, "__getattr__")
         with pytest.raises(AttributeError):
             policies.NoSuchPolicy
+        # Policy classes are not package attributes.
+        with pytest.raises(AttributeError):
+            policies.PoMPolicy
 
     def test_defining_module_import_stays_silent(self):
         import warnings

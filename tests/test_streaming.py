@@ -11,19 +11,26 @@ whole wave and reducing it afterwards would have produced.
   groups that need the failed key (including groups declared later);
 * a hypothesis property drives random group structures through random
   completion/failure interleavings against a brute-force reference;
-* an end-to-end test runs a real figure sweep both ways — the streamed
-  accumulator versus the materializing fallback — and asserts identical
-  metrics, then that the runner's metrics memo makes re-sweeps free.
+* an end-to-end test runs a real figure sweep streamed and compares it
+  cell for cell with per-cell ``workload_metrics`` on a fresh runner,
+  then that the runner's metrics memo makes re-sweeps free;
+* a streamed wave keeps no result in the parent and folds every key
+  exactly once (the memory property the sweep-scale RSS gate guards).
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exec import Executor, ResultCache
+from repro.exec import executor as executor_module
 from repro.exec.resilience import RunFailure
 from repro.exec.streaming import GroupReducer, ListReducer
-from repro.experiments.multi import _materialized_sweep, sweep
+from repro.experiments.multi import sweep
 from repro.experiments.runner import ExperimentRunner
+from repro.perf.sweep_bench import build_sweep_specs
 
 KEYS = [f"{c}" * 64 for c in "abcdefgh"]
 
@@ -192,7 +199,7 @@ def test_streamed_equals_materialized(scenario):
 
 
 # ----------------------------------------------------------------------
-# End-to-end: a real figure sweep, streamed vs materialized
+# End-to-end: a real figure sweep, streamed vs per-cell metrics
 # ----------------------------------------------------------------------
 WORKLOADS = ["w01", "w02"]
 POLICIES = ["pom", "mdm"]
@@ -208,13 +215,15 @@ def small_runner(**overrides) -> ExperimentRunner:
 
 class TestSweepEquivalence:
     def test_streamed_sweep_matches_materialized(self):
-        streamed_runner = small_runner(transport="shm", jobs=2)
-        streamed = sweep(streamed_runner, POLICIES, WORKLOADS)
-        materialized_runner = small_runner()
-        materialized = _materialized_sweep(
-            materialized_runner, POLICIES, WORKLOADS
-        )
-        assert streamed == materialized
+        streamed = sweep(small_runner(jobs=2), POLICIES, WORKLOADS)
+        runner = small_runner()
+        assert streamed == {
+            name: {
+                policy: runner.workload_metrics(name, policy)
+                for policy in POLICIES
+            }
+            for name in WORKLOADS
+        }
 
     def test_metrics_memo_makes_resweep_free(self):
         runner = small_runner(jobs=2)
@@ -225,3 +234,49 @@ class TestSweepEquivalence:
         assert runner.executor.executed == executed  # zero new sims
         assert runner.metrics_memory_hits >= len(WORKLOADS) * len(POLICIES)
         assert again == sweep(runner, POLICIES, WORKLOADS)
+
+
+# ----------------------------------------------------------------------
+# Memory: a streamed wave retains nothing in the parent
+# ----------------------------------------------------------------------
+class CountingFolds:
+    """Counts folds per key and keeps no result."""
+
+    def __init__(self):
+        self.folds = Counter()
+        self.failures = []
+
+    def fold(self, key, spec, result):
+        self.folds[key] += 1
+
+    def fold_failure(self, failure):
+        self.failures.append(failure)
+
+
+class TestWaveRetention:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reducer_wave_keeps_no_result(self, jobs, tmp_path, monkeypatch):
+        # The deterministic form of the sweep-scale RSS ceiling: a wave
+        # that re-materialized its results in the parent would fill the
+        # sink's by_key or the WaveResult, whatever its RSS did.
+        sinks = []
+
+        class RecordingSink(executor_module._WaveSink):
+            def __init__(self, reducer=None):
+                super().__init__(reducer)
+                sinks.append(self)
+
+        monkeypatch.setattr(executor_module, "_WaveSink", RecordingSink)
+        specs = build_sweep_specs(6)
+        cache = ResultCache(tmp_path)
+        Executor(cache=cache).run_many(specs[:2])  # two cache hits
+        reducer = CountingFolds()
+        wave = Executor(jobs=jobs, cache=cache).run_wave(
+            specs + specs[::2], reducer=reducer
+        )
+        assert wave.failures == [] and reducer.failures == []
+        assert wave.results == [None] * len(specs + specs[::2])
+        assert sinks[-1].by_key == {}
+        assert reducer.folds == Counter(
+            {spec.cache_key(): 1 for spec in specs}
+        )
