@@ -110,11 +110,12 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
         "--mem-backend",
         choices=("auto", "python", "compiled"),
         default="auto",
-        help="memory-timing kernel backend: 'python' (pure numpy SoA "
-        "reference), 'compiled' (numba-jitted when installed, else the "
-        "interpreted fallback), or 'auto' (compiled when numba imports, "
-        "python otherwise); results are byte-identical across backends "
-        "and the choice never affects cache keys",
+        help="memory-channel backend: 'python' (the interpreted "
+        "reference), 'compiled' (the C channel core, built with the "
+        "system C compiler on first use; an error if it cannot be "
+        "built), or 'auto' (compiled when it builds, python otherwise); "
+        "results are byte-identical across backends and the choice "
+        "never affects cache keys",
     )
 
 
@@ -886,9 +887,14 @@ def main(argv: list[str] | None = None) -> int:
     """
     from repro.common.errors import ReproError
     from repro.exec import SweepFailure, format_failure_table
+    from repro.mem.backend import resolve_backend
 
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "mem_backend", None) is not None:
+            # Resolve once up front: an explicit 'compiled' that cannot
+            # be built is a usage error, not a wave of failed runs.
+            resolve_backend(args.mem_backend)
         return _dispatch(args)
     except SweepFailure as error:
         # Runs failed (--fail-fast): not a usage error.

@@ -46,8 +46,8 @@ SWAP_STYLES = ("fast", "slow", "smart", "noswap")
 #: subset of :data:`repro.cache.sets.REPLACEMENT_POLICIES`.
 STC_REPLACEMENTS = ("lru", "fifo", "random", "lru-lip", "lfu")
 
-#: Memory-timing kernel backends (DESIGN.md §14).  ``auto`` resolves to
-#: ``compiled`` when numba imports cleanly and ``python`` otherwise;
+#: Memory-channel backends (DESIGN.md §14).  ``auto`` resolves to
+#: ``compiled`` when the C channel core builds and ``python`` otherwise;
 #: both backends produce byte-identical results, so the choice is
 #: excluded from :meth:`SystemConfig.cache_token`.
 MEM_BACKENDS = ("auto", "python", "compiled")
@@ -567,7 +567,13 @@ class SystemConfig:
         cache_key` minted before the policy-registry redesign — is
         unchanged, and existing disk caches keep hitting.  Any non-default
         axis value re-enters the digest and yields a new token.
+
+        Computed once per instance (the config is frozen); the memo lives
+        in the instance dict, outside the dataclass fields.
         """
+        token = self.__dict__.get("_cache_token")
+        if token is not None:
+            return token
         value = canonical_value(self)
         assert isinstance(value, dict)
         if value["axes"] == canonical_value(PolicyAxesConfig()):
@@ -577,7 +583,9 @@ class SystemConfig:
         # affects results, so it is excluded unconditionally and cached
         # results transfer across backends.
         del value["mem_backend"]
-        return canonical_digest(value)
+        token = canonical_digest(value)
+        object.__setattr__(self, "_cache_token", token)
+        return token
 
     def tunables(self) -> dict[str, object]:
         """Per-policy tunable namespaces, keyed by registry base name.

@@ -55,6 +55,7 @@ from repro.exec.resilience import (
 )
 from repro.exec.spec import RunSpec, build_traces
 from repro.exec.streaming import WaveReducer
+from repro.mem.backend import channel_extension
 from repro.sim.results import SimulationResult
 
 #: Result provenance labels reported via :class:`RunEvent`.
@@ -230,6 +231,11 @@ class Executor:
         self.retried = 0
         #: Every spec that ultimately failed, across this executor's life.
         self.failures: list[RunFailure] = []
+        if jobs > 1:
+            # Pool workers are forked from this process and inherit what
+            # it has loaded: build (first use only) and load the compiled
+            # channel core once here rather than in every worker.
+            channel_extension()
 
     # ------------------------------------------------------------------
     def run(self, spec: RunSpec) -> SimulationResult:

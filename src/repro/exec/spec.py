@@ -80,8 +80,15 @@ class RunSpec:
         Any field change — a program, the policy, one config value, the
         trace length, a seed, the diagnostics flag — yields a new key;
         re-creating an identical spec always yields the same key.
+
+        Computed once per instance: the spec is frozen, and the memo
+        lives in the instance dict, outside the dataclass fields, so
+        eq, hash, repr and ``replace()`` never see it.
         """
-        return canonical_digest(
+        key = self.__dict__.get("_cache_key")
+        if key is not None:
+            return key
+        key = canonical_digest(
             {
                 "kind": self.kind,
                 "programs": list(self.programs),
@@ -93,6 +100,8 @@ class RunSpec:
                 "track_rsm_regions": self.track_rsm_regions,
             }
         )
+        object.__setattr__(self, "_cache_key", key)
+        return key
 
     def describe(self) -> str:
         """Short human-readable label (progress lines, cache metadata)."""

@@ -163,10 +163,10 @@ class HybridMemoryController:
             )
             for _ in range(config.num_channels)
         ]
-        # Bound columnar-enqueue methods, one per channel: the request
-        # path indexes this list instead of re-binding ``enqueue_soa``
-        # per request.
-        self._enqueue_soa = [channel.enqueue_soa for channel in self.channels]
+        # Columnar-enqueue callables, one per channel, bound once: the
+        # request path indexes this list.  On the compiled backend each
+        # is the channel core's own ``enqueue`` (no Python frame).
+        self._enqueue_soa = [channel.submit for channel in self.channels]
         self.st = SwapGroupTable(config.total_groups, config.hybrid.group_size)
         # Composable policy axes (repro.policies.registry): the policy
         # instance carries its resolved swap style / bypass rate / STC

@@ -1,259 +1,140 @@
-"""Pluggable backend for the fused channel tick kernel (DESIGN.md §14).
+"""Channel backend selection and the compiled core's build (DESIGN.md §14).
 
-The channel advances in *ticks*: one FR-FCFS-Cap scheduling decision,
-one refresh catch-up, one bank-timing update, one data burst.  On the
-columnar layout of :mod:`repro.mem.batch` that whole decision is pure
-integer arithmetic over ``int64`` arrays, so it can be compiled.  This
-module owns backend selection and the kernel itself:
+Two interchangeable implementations of one channel run the simulator:
 
-* ``python`` — the channel's hand-tuned interpreted tick
+* ``python`` — the channel's interpreted enqueue and fused tick
   (:meth:`repro.mem.channel.Channel._tick_python`); always available
   and the reference implementation.
-* ``compiled`` — the fused :func:`mem_tick` kernel below, jitted with
-  numba when importable.  numba is an *optional* extra
-  (``pip install repro[compiled]``); when it is absent the same kernel
-  function runs interpreted, so forcing ``--mem-backend compiled``
-  degrades gracefully to a slower-but-correct run instead of crashing.
-* ``auto`` — ``compiled`` iff numba imports cleanly, else ``python``.
+* ``compiled`` — ``ChannelCore`` from ``_channel.c``, a CPython
+  extension type that owns the channel's queues and scheduling state
+  and is itself the tick's event callback.
+* ``auto`` — ``compiled`` when the extension builds and loads, else
+  ``python``.
 
-The backend contract: for any sequence of ticks over the same queue and
-bank arrays, both backends perform *identical state transitions* —
-``profess golden --check`` must be byte-identical across them (enforced
-by the CI backend-parity job), which is also why the choice is excluded
-from cache keys.
+The extension is built on first use with the interpreter's own C
+compiler (``sysconfig``'s ``CC``) into this package's ``__pycache__``,
+under a name keyed by the source's SHA-256 and the interpreter's
+``EXT_SUFFIX``.  Later interpreters pay a hash, a stat and a dlopen.
+Each build compiles to a temporary file in the same directory and
+renames it into place, so processes that build at once all succeed.
 
-One call per tick keeps the dispatch overhead of the jitted kernel
-amortized: selection, dequeue, refresh, and timing update are fused,
-and results return through a caller-preallocated ``out`` array
-(:data:`OUT_*` indices) so no Python objects are built per event.
+The backend contract: both backends perform identical state transitions
+and schedule identical events, so ``profess golden --check`` is
+byte-identical across them (CI's backend-parity job), which is also why
+the choice is excluded from cache keys.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
+import functools
+import hashlib
+import importlib.util
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+from types import ModuleType
+from typing import Optional
 
 from repro.common.config import MEM_BACKENDS
 from repro.common.errors import InvalidValueError
-from repro.mem.batch import NO_ROW
 
-#: ``out`` array indices filled by :func:`mem_tick` (one int64 each).
-OUT_SLOT = 0  # slot of the issued request
-OUT_MODULE = 1  # module (0 = M1, 1 = M2) that served it
-OUT_BURST_END = 2  # completion cycle of the data burst
-OUT_ROW_HIT = 3  # 1 if served from the open row buffer
-OUT_ACTIVATED = 4  # 1 if a row activation was performed
-OUT_REFRESHES = 5  # all-bank refresh cycles applied this tick
-OUT_STREAK = 6  # updated FR-FCFS-Cap row-hit streak
-OUT_BUS_FREE_AT = 7  # updated channel data-bus availability
-OUT_NEXT_REFRESH = 8  # updated next-refresh cycle of OUT_MODULE
-OUT_SIZE = 9
+_SOURCE = Path(__file__).with_name("_channel.c")
+_BUILD_DIR = Path(__file__).with_name("__pycache__")
 
-#: Columns of the per-module timing table handed to the kernel.
-TIMING_CL = 0
-TIMING_T_RCD = 1
-TIMING_T_RP = 2
-TIMING_T_WR = 3
-TIMING_LINE_BURST = 4
-TIMING_T_RFC = 5
-TIMING_T_REFI = 6
-TIMING_COLUMNS = 7
 
-_numba_njit: Optional[Callable] = None
-_numba_checked = False
-_kernel: Optional[Callable] = None
+def extension_path(source: Path, build_dir: Path) -> Path:
+    """Where the extension built from ``source`` lives in ``build_dir``."""
+    digest = hashlib.sha256(source.read_bytes()).hexdigest()[:16]
+    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    return build_dir / f"_channel-{digest}{suffix}"
+
+
+def build_extension(source: Path, target: Path) -> None:
+    """Compile ``source`` into the shared library ``target``.
+
+    The compiler writes a temporary file beside ``target`` that is then
+    renamed over it, so a concurrent build or load never sees a partial
+    library.  Raises :class:`OSError` (no compiler, unwritable
+    directory) or :class:`subprocess.CalledProcessError`.
+    """
+    target.parent.mkdir(parents=True, exist_ok=True)
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    include = sysconfig.get_paths()["include"]
+    handle, temporary = tempfile.mkstemp(
+        dir=target.parent, prefix=target.name + ".", suffix=".tmp"
+    )
+    os.close(handle)
+    try:
+        subprocess.run(
+            compiler
+            + ["-O2", "-fPIC", "-shared", f"-I{include}", str(source),
+               "-o", temporary],
+            check=True,
+            capture_output=True,
+            text=True,
+        )
+        os.replace(temporary, target)
+    finally:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+
+
+def load_extension(path: Path) -> ModuleType:
+    """Load the built extension at ``path`` as ``repro.mem._channel``."""
+    spec = importlib.util.spec_from_file_location("repro.mem._channel", path)
+    if spec is None or spec.loader is None:
+        raise ImportError(f"cannot load {path}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@functools.lru_cache(maxsize=1)
+def _extension() -> tuple[Optional[ModuleType], str]:
+    """(the compiled core's module, "") or (None, why it is unavailable)."""
+    try:
+        target = extension_path(_SOURCE, _BUILD_DIR)
+        if not target.exists():
+            build_extension(_SOURCE, target)
+        return load_extension(target), ""
+    except subprocess.CalledProcessError as error:
+        lines = (error.stderr or "").strip().splitlines()
+        detail = lines[-1] if lines else f"exit status {error.returncode}"
+        return None, f"{error.cmd[0]} failed: {detail}"
+    except (OSError, ImportError) as error:
+        return None, str(error)
+
+
+def channel_extension() -> Optional[ModuleType]:
+    """The compiled core's module, built on first use; None if unavailable."""
+    return _extension()[0]
 
 
 def compiled_available() -> bool:
-    """True when numba imports cleanly (the kernel can actually be jitted)."""
-    global _numba_checked, _numba_njit
-    if not _numba_checked:
-        _numba_checked = True
-        try:  # graceful fallback: numba is an optional extra
-            from numba import njit
-        # Any import-time failure (not just ImportError: broken LLVM
-        # installs raise SystemError and friends) degrades to the
-        # interpreted kernel.
-        except Exception:  # pragma: no cover  # repro: noqa[C306]
-            _numba_njit = None
-        else:
-            _numba_njit = njit
-    return _numba_njit is not None
+    """True when the compiled channel core builds and loads."""
+    return channel_extension() is not None
 
 
 def resolve_backend(name: str) -> str:
     """Map a requested backend name to the one that will run.
 
-    ``auto`` picks ``compiled`` only when numba is importable.  An
-    explicit ``compiled`` is honored even without numba — the same
-    kernel runs interpreted (identical results, no hard dependency) —
-    so the compiled code path is testable everywhere.
+    ``auto`` picks ``compiled`` when the extension is available and
+    ``python`` otherwise.  An explicit ``compiled`` that cannot be built
+    is an error (:class:`InvalidValueError`; the CLI exits 2).
     """
     if name not in MEM_BACKENDS:
         raise InvalidValueError(
             f"mem backend must be one of {MEM_BACKENDS}, got {name!r}"
         )
-    if name == "auto":
-        return "compiled" if compiled_available() else "python"
-    return name
-
-
-def mem_tick(
-    order: np.ndarray,
-    count: int,
-    bank_key: np.ndarray,
-    row: np.ndarray,
-    is_write: np.ndarray,
-    open_row: np.ndarray,
-    ready_at: np.ndarray,
-    dirty: np.ndarray,
-    closed_until: np.ndarray,
-    timings: np.ndarray,
-    banks: int,
-    streak: int,
-    cap: int,
-    now: int,
-    bus_free_at: int,
-    blocked_until: int,
-    next_refresh_m1: int,
-    next_refresh_m2: int,
-    row_idle_close: int,
-    out: np.ndarray,
-) -> None:
-    """One fused channel tick over the columnar state (both backends).
-
-    Mirrors ``Channel._tick_python`` step for step: FR-FCFS-Cap
-    selection against pre-refresh bank state, dequeue (order shift),
-    lazy refresh catch-up for the chosen module, idle-close, bank
-    preparation, and the data burst.  Plain-int arithmetic only so that
-    numba compiles it in nopython mode; results land in ``out``.
-    """
-    # --- FR-FCFS-Cap selection (bank state BEFORE refresh, exactly as
-    # the scalar scheduler saw it) ---
-    if count == 1:
-        chosen = 0
-        slot = order[0]
-        if open_row[bank_key[slot]] == row[slot]:
-            streak += 1
-        else:
-            streak = 0
-    else:
-        chosen = -1
-        if streak < cap:
-            index = 0
-            while index < count:
-                slot = order[index]
-                if open_row[bank_key[slot]] == row[slot]:
-                    chosen = index
-                    break
-                index += 1
-        if chosen >= 0:
-            streak += 1
-        else:
-            chosen = 0
-            slot = order[0]
-            if open_row[bank_key[slot]] == row[slot]:
-                streak += 1
-            else:
-                streak = 0
-        slot = order[chosen]
-    # --- dequeue: shift the arrival order over the gap ---
-    last = count - 1
-    index = chosen
-    while index < last:
-        order[index] = order[index + 1]
-        index += 1
-    key = bank_key[slot]
-    module = 1 if key >= banks else 0
-    cl = timings[module, 0]
-    t_rcd = timings[module, 1]
-    t_rp = timings[module, 2]
-    t_wr = timings[module, 3]
-    line_burst = timings[module, 4]
-    t_rfc = timings[module, 5]
-    t_refi = timings[module, 6]
-    # --- lazy all-bank refresh catch-up for the chosen module ---
-    next_refresh = next_refresh_m1 if module == 0 else next_refresh_m2
-    refreshes = 0
-    while now >= next_refresh:
-        end = next_refresh + t_rfc
-        lo = module * banks
-        hi = lo + banks
-        bank = lo
-        while bank < hi:
-            open_row[bank] = NO_ROW
-            dirty[bank] = 0
-            if end > ready_at[bank]:
-                ready_at[bank] = end
-            bank += 1
-        next_refresh += t_refi
-        refreshes += 1
-    # --- bank preparation ---
-    bank_ready = ready_at[key]
-    prep_start = now if now > bank_ready else bank_ready
-    if blocked_until > prep_start:
-        prep_start = blocked_until
-    orow = open_row[key]
-    if (
-        row_idle_close > 0
-        and orow != NO_ROW
-        and prep_start - bank_ready >= row_idle_close
-    ):
-        # Adaptive page policy: background precharge of the idle row.
-        penalty = t_rp + (t_wr if dirty[key] else 0)
-        closed_until[key] = bank_ready + row_idle_close + penalty
-        orow = NO_ROW
-        dirty[key] = 0
-    r = row[slot]
-    w = is_write[slot]
-    activated = 0
-    if orow == r:
-        row_hit = 1
-        data_ready = prep_start + cl
-        new_dirty = 1 if w else dirty[key]
-    else:
-        row_hit = 0
-        precharge = 0
-        if orow != NO_ROW:
-            precharge = t_rp
-            if dirty[key]:
-                precharge += t_wr
-        elif closed_until[key] > prep_start:
-            precharge = closed_until[key] - prep_start
-        data_ready = prep_start + precharge + t_rcd + cl
-        activated = 1
-        new_dirty = 1 if w else 0
-    # --- data burst on the shared channel bus ---
-    burst_start = data_ready if data_ready > bus_free_at else bus_free_at
-    burst_end = burst_start + line_burst
-    open_row[key] = r
-    ready_at[key] = burst_end
-    dirty[key] = new_dirty
-    out[0] = slot
-    out[1] = module
-    out[2] = burst_end
-    out[3] = row_hit
-    out[4] = activated
-    out[5] = refreshes
-    out[6] = streak
-    out[7] = burst_end
-    out[8] = next_refresh
-
-
-def get_tick_kernel() -> Callable:
-    """The ``compiled`` backend's tick: jitted when numba is present.
-
-    Falls back to the interpreted :func:`mem_tick` (same semantics) when
-    numba is unavailable, so an explicit ``--mem-backend compiled`` is
-    never a correctness dependency.  The jitted kernel compiles lazily
-    on first call.
-    """
-    global _kernel
-    if _kernel is None:
-        if compiled_available():
-            assert _numba_njit is not None
-            _kernel = _numba_njit(cache=False)(mem_tick)
-        else:
-            _kernel = mem_tick
-    return _kernel
+    if name == "python":
+        return name
+    if compiled_available():
+        return "compiled"
+    if name == "compiled":
+        raise InvalidValueError(
+            f"mem backend 'compiled' is unavailable: {_extension()[1]}"
+        )
+    return "python"

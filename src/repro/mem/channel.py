@@ -12,16 +12,16 @@ Swaps block the channel for the analytic swap latency (Section 4.1), and
 row-buffer hits do not bypass the FR-FCFS-Cap ordering across a swap (the
 paper modifies the scheduler to ignore row hits during swaps).
 
-Since the columnar refactor (DESIGN.md §14) the channel holds its queues
-as :class:`repro.mem.batch.RequestBatch` columns and its bank state as
-four ``int64`` arrays indexed by the global bank key
+Since the columnar refactor (DESIGN.md §14) the channel holds its bank
+state as four ``int64`` arrays indexed by the global bank key
 ``module * banks_per_rank + bank``.  Each scheduling decision is one
 *fused tick* — selection, dequeue, refresh catch-up, timing update, and
-burst in a single pass over those columns — with two interchangeable
-implementations: ``_tick_python`` (memoryview scalar access, vectorized
-deep-queue scan) and ``_tick_kernel`` (the :mod:`repro.mem.backend`
-kernel, numba-jitted when available).  Both are byte-identical by
-contract; ``profess golden --check`` under each backend enforces it.
+burst in a single pass — with two interchangeable backends: the
+interpreted ``_tick_python`` over :class:`repro.mem.batch.RequestBatch`
+queues, and the compiled ``ChannelCore`` (:mod:`repro.mem.backend`),
+which owns its queues and scheduling state and borrows the bank arrays.
+Both are byte-identical by contract; ``profess golden --check`` under
+each backend enforces it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from repro.common.config import MemTimings
 from repro.common.events import EventQueue
-from repro.mem.backend import get_tick_kernel, resolve_backend
+from repro.mem.backend import channel_extension, resolve_backend
 from repro.mem.batch import NO_ROW, BankView, RequestBatch
 from repro.mem.power import EnergyMeter
 from repro.mem.request import MemRequest, Module
@@ -122,6 +122,13 @@ class ModuleState:
         self.hi = base + banks_per_rank
 
 
+def _timing_tuple(module_state: ModuleState) -> tuple[int, ...]:
+    """One module's timings in the order the compiled core takes them."""
+    ms = module_state
+    return (ms.cl, ms.t_rcd, ms.t_rp, ms.t_wr, ms.line_burst, ms.t_rfc,
+            ms.t_refi)
+
+
 class Channel:
     """A memory channel shared by one M1 rank and one M2 rank."""
 
@@ -150,13 +157,12 @@ class Channel:
         "_ready_at_v",
         "_dirty_v",
         "_closed_until_v",
-        "_timing_table",
         "_backend",
         "_tick_cb",
-        "_kernel",
-        "_kernel_out",
-        "_kernel_out_v",
-        "stats",
+        "_core",
+        "_stats",
+        "submit",
+        "__weakref__",
     )
 
     def __init__(
@@ -207,31 +213,53 @@ class Channel:
         self._bus_free_at = 0
         self._blocked_until = 0
         self._tick_scheduled = False
-        # Per-module timing table for the compiled kernel (column
-        # layout: repro.mem.backend.TIMING_*).
-        self._timing_table = np.array(
-            [
-                [ms.cl, ms.t_rcd, ms.t_rp, ms.t_wr, ms.line_burst, ms.t_rfc,
-                 ms.t_refi]
-                for ms in self._modules
-            ],
-            dtype=np.int64,
-        )
+        self._stats = ChannelStats()
         self._backend = resolve_backend(backend)
         if self._backend == "compiled":
-            self._kernel = get_tick_kernel()
-            self._tick_cb = self._tick_kernel
+            # The compiled core owns the queues and scheduling state from
+            # here on (the python-side ones above stay empty); its bound
+            # tick is the event callback and its enqueue the request sink.
+            extension = channel_extension()
+            assert extension is not None  # resolve_backend checked
+            self._core = extension.ChannelCore(
+                events=events,
+                open_row=self._open_row,
+                ready_at=self._ready_at,
+                dirty=self._dirty,
+                closed_until=self._closed_until,
+                m1_timing=_timing_tuple(self._modules[0]),
+                m2_timing=_timing_tuple(self._modules[1]),
+                banks_per_rank=banks_per_rank,
+                cap=frfcfs_cap,
+                row_idle_close=row_idle_close,
+                energy=energy,
+                cmd_gap=_CMD_GAP,
+                write_high=_WRITE_QUEUE_HIGH,
+                write_low=_WRITE_QUEUE_LOW,
+                write_cap=_WRITE_QUEUE_CAP,
+                no_row=NO_ROW,
+            )
+            self._tick_cb = self._core.tick
+            self.submit = self._core.enqueue
         else:
-            self._kernel = None
+            self._core = None
             self._tick_cb = self._tick_python
-        self._kernel_out = np.zeros(16, dtype=np.int64)
-        self._kernel_out_v = memoryview(self._kernel_out)
-        self.stats = ChannelStats()
+            self.submit = self.enqueue_soa
 
     @property
     def backend(self) -> str:
         """The resolved tick backend ("python" or "compiled")."""
         return self._backend
+
+    @property
+    def stats(self) -> ChannelStats:
+        """Served-traffic statistics (read from the compiled core if any)."""
+        stats = self._stats
+        core = self._core
+        if core is not None:
+            for name in ChannelStats.__slots__:
+                setattr(stats, name, getattr(core, name))
+        return stats
 
     def bank(self, module: Module, index: int) -> BankView:
         """One bank's state (inspection helper for tests and policies)."""
@@ -266,7 +294,14 @@ class Channel:
         policy with read priority.  When the write queue is full,
         acceptance (and thus the issuing core's store buffer)
         backpressures until entries drain.
+
+        The hot path binds :attr:`submit` instead, which on the compiled
+        backend is the core's own ``enqueue``.
         """
+        core = self._core
+        if core is not None:
+            core.enqueue(bank_key, row, is_write, arrival, kind, on_complete)
+            return
         # RequestBatch.push, inlined for both queues: one call frame per
         # request saved on the hottest producer in the simulator.
         queue = self._writes if is_write else self._reads
@@ -305,6 +340,17 @@ class Channel:
         """
         address = request.address
         bank_key = address.module * self._banks_per_rank + address.bank
+        core = self._core
+        if core is not None:
+            on_complete = request.on_complete
+            if request.is_write:
+                # Posted: the callback is the acceptance, not a completion.
+                request.on_complete = None
+            core.enqueue(
+                bank_key, address.row, request.is_write, request.arrival,
+                request.kind, on_complete, request,
+            )
+            return
         if request.is_write:
             writes = self._writes
             writes.push(
@@ -329,6 +375,8 @@ class Channel:
 
     def queue_depth(self) -> int:
         """Pending (unscheduled) requests, reads + buffered writes."""
+        if self._core is not None:
+            return self._core.queue_depth()
         return self._reads.count + self._writes.count
 
     #: Command-bus gap between consecutive scheduling decisions: one
@@ -349,36 +397,19 @@ class Channel:
     #: faster scalar.
     VECTOR_SCAN_MIN = _VECTOR_SCAN_MIN
 
-    def _select_queue(self) -> RequestBatch:
-        """Pick reads or buffered writes for the next decision.
-
-        Only called from the tick paths with a non-empty write queue;
-        kept as a method for the watermark logic's readability and for
-        direct unit testing.
-        """
-        if not self._reads.count:
-            self._draining_writes = True
-            return self._writes
-        if self._writes.count >= self.WRITE_QUEUE_HIGH:
-            self._draining_writes = True
-        elif self._draining_writes and self._writes.count <= self.WRITE_QUEUE_LOW:
-            self._draining_writes = False
-        return self._writes if self._draining_writes else self._reads
-
     def _tick_python(self, now: int) -> None:
         """One fused scheduling decision: the pure-Python backend.
 
         Selection, dequeue, refresh catch-up, bank timing, stats, and
         completion scheduling in a single pass — no per-request objects,
         no nested per-event calls.  Mirrored exactly by the compiled
-        kernel (:func:`repro.mem.backend.mem_tick`).
+        core's ``tick`` (``_channel.c``).
         """
         self._tick_scheduled = False
         reads = self._reads
         writes = self._writes
         if writes.count:
-            # _select_queue, inlined (kept as a method for unit tests):
-            # the read-priority write-drain watermark policy.
+            # The read-priority write-drain watermark policy.
             if not reads.count or writes.count >= _WRITE_QUEUE_HIGH:
                 self._draining_writes = True
                 queue = writes
@@ -391,7 +422,7 @@ class Channel:
                 queue = writes if self._draining_writes else reads
         elif reads.count:
             # Fast path: no buffered writes — reads drain, and any write
-            # drain mode ends (exactly what _select_queue would decide).
+            # drain mode ends.
             self._draining_writes = False
             queue = reads
         else:
@@ -520,7 +551,7 @@ class Channel:
         ready[key] = burst_end
         dirty[key] = new_dirty
         # --- record served traffic and schedule the completion ---
-        stats = self.stats
+        stats = self._stats
         kind = queue.kind_v[slot]
         if kind == 0:  # RequestKind.DATA
             # Demand traffic first: it dominates the served stream.
@@ -573,121 +604,13 @@ class Channel:
             events._seq = seq + 1
 
     def _tick_kernel(self, now: int) -> None:
-        """One fused scheduling decision via the compiled backend.
+        """One fused scheduling decision on the compiled core.
 
-        Queue choice, stats, and callback scheduling stay in Python;
-        the integer-only core (selection, dequeue, refresh, timing) runs
-        in :func:`repro.mem.backend.mem_tick` over the shared columns.
+        The event loop calls the core's ``tick`` directly; this delegate
+        exists so that tools which wrap ``Channel`` methods by name (the
+        benchmark's span tracer) still find a compiled-tick entry point.
         """
-        self._tick_scheduled = False
-        reads = self._reads
-        writes = self._writes
-        if writes.count:
-            queue = self._select_queue()
-        elif reads.count:
-            self._draining_writes = False
-            queue = reads
-        else:
-            return
-        scheduler = self._scheduler
-        modules = self._modules
-        out = self._kernel_out
-        self._kernel(
-            queue.order,
-            queue.count,
-            queue.bank_key,
-            queue.row,
-            queue.is_write,
-            self._open_row,
-            self._ready_at,
-            self._dirty,
-            self._closed_until,
-            self._timing_table,
-            self._banks_per_rank,
-            scheduler._consecutive_hits,
-            scheduler.cap,
-            now,
-            self._bus_free_at,
-            self._blocked_until,
-            modules[0].next_refresh,
-            modules[1].next_refresh,
-            self._row_idle_close,
-            out,
-        )
-        out_v = self._kernel_out_v
-        slot = out_v[0]
-        module = out_v[1]
-        burst_end = out_v[2]
-        row_hit = bool(out_v[3])
-        refreshes = out_v[5]
-        scheduler._consecutive_hits = out_v[6]
-        self._bus_free_at = out_v[7]
-        modules[module].next_refresh = out_v[8]
-        queue.count -= 1
-        if (
-            self._write_accept_waiters
-            and writes.count <= self.WRITE_QUEUE_CAP
-        ):
-            self._schedule_now(self._write_accept_waiters.popleft())
-        stats = self.stats
-        energy = self._energy
-        if refreshes:
-            stats.refreshes += refreshes
-            if energy is not None:
-                index = 0
-                while index < refreshes:
-                    energy.record_refresh()
-                    index += 1
-        if out_v[4] and energy is not None:
-            energy.activates[module] += 1
-        is_write = queue.is_write_v[slot]
-        kind = queue.kind_v[slot]
-        if kind == 0:  # RequestKind.DATA
-            if is_write:
-                stats.writes += 1
-            else:
-                stats.reads += 1
-                stats.read_latency_sum += burst_end - queue.arrival_v[slot]
-                stats.read_count += 1
-        else:
-            if kind == 1:  # RequestKind.ST_READ
-                stats.st_reads += 1
-            else:
-                stats.st_writes += 1
-            if is_write:
-                stats.writes += 1
-            else:
-                stats.reads += 1
-        if row_hit:
-            stats.row_hits += 1
-        if energy is not None:
-            counters = energy.line_writes if is_write else energy.line_reads
-            counters[module] += 1
-        origins = queue.origins
-        origin = origins[slot]
-        if origin is not None:
-            origin.completion = burst_end
-            origin.row_hit = row_hit
-            origins[slot] = None
-        callbacks = queue.callbacks
-        callback = callbacks[slot]
-        # Inline-push contract (events.py): both targets are strictly
-        # future cycles, same as the python tick.
-        events = self._events
-        heap = events._heap
-        if callback is not None:
-            seq = events._seq
-            _heappush(heap, (burst_end, seq, callback))
-            events._seq = seq + 1
-            callbacks[slot] = None
-        # RequestBatch.release, inlined (origins/callbacks cleared only
-        # when set — the SoA fast path leaves both None).
-        queue.free.append(slot)
-        if reads.count or writes.count:
-            self._tick_scheduled = True
-            seq = events._seq
-            _heappush(heap, (now + _CMD_GAP, seq, self._tick_cb))
-            events._seq = seq + 1
+        self._core.tick(now)
 
     def _refresh_if_due(self, module_state: ModuleState, now: int) -> None:
         """Apply any refresh cycles that elapsed on the module by ``now``.
@@ -708,7 +631,7 @@ class Channel:
             self._dirty[lo:hi] = 0
             np.maximum(ready_slice, end, out=ready_slice)
             module_state.next_refresh = start + module_state.t_refi
-            self.stats.refreshes += 1
+            self._stats.refreshes += 1
             if self._energy is not None:
                 self._energy.record_refresh()
 
@@ -731,10 +654,16 @@ class Channel:
         the paper's modification of ignoring row hits during swaps.
         """
         now = self._events.now
-        start = max(now, self._bus_free_at, self._blocked_until)
-        end = start + self._swap_latency
-        self._blocked_until = end
-        self._bus_free_at = end
+        core = self._core
+        if core is not None:
+            end = core.swap(now, self._swap_latency)
+        else:
+            start = max(now, self._bus_free_at, self._blocked_until)
+            end = start + self._swap_latency
+            self._blocked_until = end
+            self._bus_free_at = end
+            self._scheduler.reset_streak()
+            self._stats.swaps += 1
         # Both blocks were just rewritten: the involved rows end up open
         # and dirty (their array write-back is pending).
         m1_key = m1_bank
@@ -745,8 +674,6 @@ class Channel:
         self._open_row_v[m2_key] = m2_row
         self._ready_at_v[m2_key] = end
         self._dirty_v[m2_key] = 1
-        self._scheduler.reset_streak()
-        self.stats.swaps += 1
         if self._energy is not None:
             lines = self._lines_per_block
             self._energy.record_activate(Module.M1)
@@ -762,4 +689,6 @@ class Channel:
     @property
     def blocked_until(self) -> int:
         """Cycle until which the channel is blocked by a swap."""
+        if self._core is not None:
+            return self._core.blocked_until
         return self._blocked_until

@@ -155,9 +155,8 @@ def benchmark_backends(backend: str = "auto") -> list[str]:
     """The backend list one ``profess perf`` invocation measures.
 
     ``auto`` always measures the pure-python reference and adds a
-    ``compiled`` row only when numba actually imports (an interpreted
-    "compiled" row would measure the fallback, not the jit).  An explicit
-    backend measures exactly that backend.
+    ``compiled`` row when the C channel core builds and loads.  An
+    explicit backend measures exactly that backend.
     """
     from repro.mem.backend import compiled_available
 
@@ -349,8 +348,8 @@ def compare_to_baseline(
     Comparisons are only meaningful between runs of the same mode
     (``quick`` vs full), which is also checked.  Only ``python``-backend
     rows are gated: the pure-python reference is the floor every machine
-    can reproduce, while compiled rows depend on whether numba is
-    installed (rows without a ``backend`` key predate backends and mean
+    can reproduce, while compiled rows depend on whether a C compiler
+    is present (rows without a ``backend`` key predate backends and mean
     python).
     """
     failures: list[str] = []

@@ -1,19 +1,25 @@
 """Channel timing-model tests: row hits/misses, write recovery, idle
-close, bus serialization, swap blocking."""
+close, bus serialization, swap blocking.
 
+Every test class runs on the python backend; its ``...Compiled`` twin at
+the bottom of the file runs the same tests on the compiled channel core.
+"""
+
+import pytest
 
 from repro.common.config import MemTimings
 from repro.common.events import EventQueue
 from repro.mem.channel import Channel
 from repro.mem.power import EnergyMeter
 from repro.common.config import EnergyConfig
+from repro.mem.backend import compiled_available
 from repro.mem.request import DeviceAddress, MemRequest, Module, RequestKind
 
 M1 = MemTimings.dram()
 M2 = MemTimings.nvm_from_dram()
 
 
-def make_channel(idle_close=0, swap_latency=2548, energy=None):
+def make_channel(idle_close=0, swap_latency=2548, energy=None, backend="python"):
     events = EventQueue()
     channel = Channel(
         events=events,
@@ -24,8 +30,18 @@ def make_channel(idle_close=0, swap_latency=2548, energy=None):
         energy=energy,
         swap_latency=swap_latency,
         row_idle_close=idle_close,
+        backend=backend,
     )
     return events, channel
+
+
+class ChannelCase:
+    """Base of the test classes: the channel backend under test."""
+
+    backend = "python"
+
+    def make_channel(self, **kwargs):
+        return make_channel(backend=self.backend, **kwargs)
 
 
 def read(module, bank, row, done):
@@ -47,35 +63,35 @@ def run_one(events, channel, request):
     return done[0]
 
 
-class TestSingleRequestLatency:
+class TestSingleRequestLatency(ChannelCase):
     def test_m1_cold_miss(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         latency = run_one(events, channel, read(Module.M1, 0, 0, None))
         # No precharge on a closed bank: tRCD + CL + burst.
         assert latency == M1.t_rcd + M1.cl + M1.line_burst
 
     def test_m2_cold_miss_is_ten_x_trcd(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         latency = run_one(events, channel, read(Module.M2, 0, 0, None))
         assert latency == M2.t_rcd + M2.cl + M2.line_burst
         assert M2.t_rcd == 10 * M1.t_rcd
 
     def test_row_hit_is_cas_plus_burst(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         run_one(events, channel, read(Module.M1, 0, 0, None))
         start = events.now
         latency = run_one(events, channel, read(Module.M1, 0, 0, None)) - start
         assert latency == M1.cl + M1.line_burst
 
     def test_row_conflict_pays_precharge(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         run_one(events, channel, read(Module.M1, 0, 0, None))
         start = events.now
         latency = run_one(events, channel, read(Module.M1, 0, 1, None)) - start
         assert latency == M1.t_rp + M1.t_rcd + M1.cl + M1.line_burst
 
     def test_dirty_row_conflict_pays_write_recovery(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         req = read(Module.M2, 0, 0, None)
         req.is_write = True
         run_one(events, channel, req)
@@ -89,7 +105,7 @@ class TestSingleRequestLatency:
 
     def test_write_hit_does_not_pay_recovery_inline(self):
         # Writes into an open row buffer are cheap; tWR is deferred.
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         w1 = read(Module.M2, 0, 0, None)
         w1.is_write = True
         run_one(events, channel, w1)
@@ -104,9 +120,9 @@ class TestSingleRequestLatency:
         assert bank.ready_at == 600 + M2.cl + M2.line_burst
 
 
-class TestIdleClose:
+class TestIdleClose(ChannelCase):
     def test_idle_row_closes(self):
-        events, channel = make_channel(idle_close=480)  # 150 ns
+        events, channel = self.make_channel(idle_close=480)  # 150 ns
         run_one(events, channel, read(Module.M1, 0, 0, None))
         # Wait out the idle window.
         events.schedule(events.now + 10_000, lambda c: None)
@@ -118,14 +134,14 @@ class TestIdleClose:
         assert latency == M1.t_rcd + M1.cl + M1.line_burst
 
     def test_prompt_reuse_still_hits(self):
-        events, channel = make_channel(idle_close=480)
+        events, channel = self.make_channel(idle_close=480)
         run_one(events, channel, read(Module.M1, 0, 0, None))
         start = events.now
         latency = run_one(events, channel, read(Module.M1, 0, 0, None)) - start
         assert latency == M1.cl + M1.line_burst
 
     def test_dirty_idle_close_can_delay_reactivation(self):
-        events, channel = make_channel(idle_close=480)
+        events, channel = self.make_channel(idle_close=480)
         w = read(Module.M2, 0, 0, None)
         w.is_write = True
         run_one(events, channel, w)
@@ -138,9 +154,9 @@ class TestIdleClose:
         assert latency > M2.t_rcd + M2.cl + M2.line_burst
 
 
-class TestBusSerialization:
+class TestBusSerialization(ChannelCase):
     def test_two_hits_same_cycle_serialize_on_bus(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         # Open two rows on different banks first.
         run_one(events, channel, read(Module.M1, 0, 0, None))
         run_one(events, channel, read(Module.M1, 1, 0, None))
@@ -154,7 +170,7 @@ class TestBusSerialization:
         assert abs(done[1] - done[0]) >= M1.line_burst
 
     def test_bank_prep_overlaps_burst(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         done = []
         # Two cold misses on different banks: the second's activation
         # overlaps the first's, so completion gap is far below a full
@@ -168,16 +184,16 @@ class TestBusSerialization:
         assert max(done) < serial
 
 
-class TestSwaps:
+class TestSwaps(ChannelCase):
     def test_swap_blocks_channel(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         end = channel.schedule_swap(0, 0, 0, 0)
         assert end == 2548
         latency = run_one(events, channel, read(Module.M1, 1, 0, None))
         assert latency >= 2548
 
     def test_swap_leaves_rows_open_dirty(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         end = channel.schedule_swap(2, 7, 3, 9)
         events.schedule(end, lambda c: None)
         events.run()
@@ -186,27 +202,27 @@ class TestSwaps:
         assert latency == M1.cl + M1.line_burst
 
     def test_swap_completion_callback(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         fired = []
         channel.schedule_swap(0, 0, 0, 0, on_complete=lambda c: fired.append(c))
         events.run()
         assert fired == [2548]
 
     def test_swaps_serialize(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         channel.schedule_swap(0, 0, 0, 0)
         end = channel.schedule_swap(1, 0, 1, 0)
         assert end == 2 * 2548
 
     def test_swap_counted(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         channel.schedule_swap(0, 0, 0, 0)
         assert channel.stats.swaps == 1
 
 
-class TestStats:
+class TestStats(ChannelCase):
     def test_read_latency_tracks_data_reads_only(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         st = MemRequest(
             core_id=0,
             address=DeviceAddress(Module.M1, 0, -1),
@@ -222,29 +238,29 @@ class TestStats:
         assert channel.stats.read_count == 1
 
     def test_row_hit_counter(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         run_one(events, channel, read(Module.M1, 0, 0, None))
         run_one(events, channel, read(Module.M1, 0, 0, None))
         assert channel.stats.row_hits == 1
 
     def test_energy_recording(self):
         meter = EnergyMeter(EnergyConfig(), num_channels=1)
-        events, channel = make_channel(energy=meter)
+        events, channel = self.make_channel(energy=meter)
         run_one(events, channel, read(Module.M2, 0, 0, None))
         assert meter.activates[Module.M2] == 1
         assert meter.line_reads[Module.M2] == 1
 
     def test_swap_energy(self):
         meter = EnergyMeter(EnergyConfig(), num_channels=1)
-        events, channel = make_channel(energy=meter)
+        events, channel = self.make_channel(energy=meter)
         channel.schedule_swap(0, 0, 0, 0)
         assert meter.line_reads[Module.M1] == 32
         assert meter.line_writes[Module.M2] == 32
 
 
-class TestRefresh:
+class TestRefresh(ChannelCase):
     def test_m1_refresh_closes_rows(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         run_one(events, channel, read(Module.M1, 0, 0, None))
         # Jump past several refresh intervals.
         events.schedule(events.now + 3 * M1.t_refi, lambda c: None)
@@ -256,7 +272,7 @@ class TestRefresh:
         assert channel.stats.refreshes >= 3
 
     def test_m2_never_refreshes(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         run_one(events, channel, read(Module.M2, 0, 0, None))
         events.schedule(events.now + 10 * M1.t_refi, lambda c: None)
         events.run()
@@ -266,7 +282,7 @@ class TestRefresh:
         assert M2.t_refi == 0
 
     def test_refresh_delays_prompt_request(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         # Arrive exactly at the refresh boundary: bank busy for tRFC.
         events.schedule(M1.t_refi, lambda c: None)
         events.run()
@@ -275,9 +291,9 @@ class TestRefresh:
         assert latency >= M1.t_rfc
 
 
-class TestWriteQueue:
+class TestWriteQueue(ChannelCase):
     def test_write_acceptance_is_immediate(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         accepted = []
         w = read(Module.M1, 0, 0, None)
         w.is_write = True
@@ -287,7 +303,7 @@ class TestWriteQueue:
         assert accepted and accepted[0] == 0
 
     def test_reads_prioritized_over_buffered_writes(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         order = []
         w = read(Module.M2, 0, 5, None)
         w.is_write = True
@@ -301,7 +317,7 @@ class TestWriteQueue:
         assert order == ["read"]
 
     def test_writes_drain_when_idle(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         for row in range(3):
             w = read(Module.M1, 0, row, None)
             w.is_write = True
@@ -311,7 +327,7 @@ class TestWriteQueue:
         assert channel.queue_depth() == 0
 
     def test_backpressure_beyond_cap(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         accepted = []
         total = Channel.WRITE_QUEUE_CAP + 8
         for index in range(total):
@@ -325,7 +341,7 @@ class TestWriteQueue:
         assert len(accepted) == total
 
     def test_high_watermark_forces_drain_despite_reads(self):
-        events, channel = make_channel()
+        events, channel = self.make_channel()
         for index in range(Channel.WRITE_QUEUE_HIGH):
             w = read(Module.M1, index % 16, index, None)
             w.is_write = True
@@ -335,3 +351,43 @@ class TestWriteQueue:
             channel.enqueue(read(Module.M1, index % 16, 100 + index, None))
         events.run()
         assert channel.stats.writes == Channel.WRITE_QUEUE_HIGH
+
+
+needs_compiled = pytest.mark.skipif(
+    not compiled_available(), reason="compiled channel core unavailable"
+)
+
+
+@needs_compiled
+class TestSingleRequestLatencyCompiled(TestSingleRequestLatency):
+    backend = "compiled"
+
+
+@needs_compiled
+class TestIdleCloseCompiled(TestIdleClose):
+    backend = "compiled"
+
+
+@needs_compiled
+class TestBusSerializationCompiled(TestBusSerialization):
+    backend = "compiled"
+
+
+@needs_compiled
+class TestSwapsCompiled(TestSwaps):
+    backend = "compiled"
+
+
+@needs_compiled
+class TestStatsCompiled(TestStats):
+    backend = "compiled"
+
+
+@needs_compiled
+class TestRefreshCompiled(TestRefresh):
+    backend = "compiled"
+
+
+@needs_compiled
+class TestWriteQueueCompiled(TestWriteQueue):
+    backend = "compiled"

@@ -1,6 +1,7 @@
 """Execution-subsystem tests: RunSpec keys, disk cache, parallelism."""
 
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import pytest
 
@@ -101,6 +102,33 @@ class TestRunSpecKeys:
             paper_quad_core(scale=SCALE).cache_token()
             != paper_single_core(scale=SCALE).cache_token()
         )
+
+    def test_memoized_keys_follow_pickle_and_replace(self):
+        original = spec()
+        key = original.cache_key()  # memoized from here on
+        restored = pickle.loads(pickle.dumps(original))
+        assert restored == original and hash(restored) == hash(original)
+        assert restored.cache_key() == key
+        assert pickle.loads(pickle.dumps(spec())).cache_key() == key
+        assert replace(original, seed=1).cache_key() == spec(seed=1).cache_key()
+        assert replace(original, seed=1).cache_key() != key
+        tweaked = replace(CONFIG, mdm=MDMConfig(min_benefit=9.0))
+        assert (
+            original.with_config(mdm=MDMConfig(min_benefit=9.0)).cache_key()
+            == spec(config=tweaked).cache_key()
+            != key
+        )
+        assert tweaked.cache_token() != CONFIG.cache_token()
+
+    def test_memo_is_not_a_field(self):
+        memoized = spec()
+        memoized.cache_key()
+        fresh = spec()
+        assert memoized == fresh and hash(memoized) == hash(fresh)
+        assert repr(memoized) == repr(fresh)
+        names = {field.name for field in fields(RunSpec)}
+        names |= {field.name for field in fields(type(CONFIG))}
+        assert not names & {"_cache_key", "_cache_token"}
 
     def test_specs_are_hashable(self):
         assert len({spec(), spec(), spec(policy="mdm")}) == 2
