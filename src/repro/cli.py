@@ -14,6 +14,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 from repro.experiments.registry import (
     EXPERIMENTS,
@@ -45,11 +46,11 @@ def _cache_dir(value: str) -> Path:
     return path
 
 
-def _retry_count(value: str) -> int:
-    retries = int(value)
-    if retries < 0:
+def _nonnegative_count(value: str) -> int:
+    count = int(value)
+    if count < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
-    return retries
+    return count
 
 
 def _timeout_seconds(value: str) -> float:
@@ -76,7 +77,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries",
-        type=_retry_count,
+        type=_nonnegative_count,
         default=1,
         metavar="N",
         help="re-attempts per run for transient failures (worker death, "
@@ -119,9 +120,16 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports bad input on one line; ``-h`` still prints the usage."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="profess",
         description="ProFess (HPCA 2018) reproduction experiment harness",
     )
@@ -179,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--validate-every",
-        type=int,
+        type=_nonnegative_count,
         default=0,
         metavar="N",
         help="audit all simulator invariants (sim.validation) every N "

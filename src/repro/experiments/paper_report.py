@@ -60,6 +60,42 @@ def _bool_summary_all_true(result: ExperimentResult) -> bool:
     )
 
 
+def _fig6_shape(result: ExperimentResult) -> bool:
+    """MDM/PoM M1 fraction above 1 for most programs, below 1 for mcf."""
+    ratios = {row[0]: row[3] for row in result.rows}
+    above = sum(ratio > 1.0 for ratio in ratios.values())
+    return above > len(ratios) / 2 and ratios.get("mcf", 1.0) < 1.0
+
+
+def _fig8_shape(result: ExperimentResult) -> bool:
+    """Half- and double-size STC IPC within ±10% of the default's."""
+    return all(
+        abs(row[column] / row[2] - 1.0) <= 0.10
+        for row in result.rows
+        for column in (1, 3)
+    )
+
+
+def _fig16_shape(result: ExperimentResult) -> bool:
+    """Every workload's max slowdown is lower under ProFess than PoM, and
+    some lighter program (not its workload's PoM maximum) pays for it by
+    running slower under ProFess."""
+    workloads: dict[str, list[tuple[float, float]]] = {}
+    for workload, _program, pom, _mdm, profess in result.rows:
+        workloads.setdefault(workload, []).append((pom, profess))
+    relieved = all(
+        max(p for _, p in pairs) < max(p for p, _ in pairs)
+        for pairs in workloads.values()
+    )
+    traded = any(
+        profess > pom
+        for pairs in workloads.values()
+        for pom, profess in pairs
+        if pom < max(p for p, _ in pairs)
+    )
+    return relieved and traded
+
+
 EXPECTATIONS: dict[str, PaperExpectation] = {
     "table1": PaperExpectation(
         "structural: PoM organization, Table 2 parameters",
@@ -92,6 +128,7 @@ EXPECTATIONS: dict[str, PaperExpectation] = {
     "fig6": PaperExpectation(
         "M1 fraction up for most; down where swaps are refused (mcf)",
         _geomean_improvement(True),
+        _fig6_shape,
     ),
     "fig7": PaperExpectation(
         "STC hit rates high; omnetpp ~70% lowest, mcf ~85%",
@@ -110,6 +147,7 @@ EXPECTATIONS: dict[str, PaperExpectation] = {
         "mostly insensitive; mcf/omnetpp lose ~8% with half STC",
         lambda r: "half-STC worst case "
         + f"{min(row[1] for row in r.rows):.3f}",
+        _fig8_shape,
     ),
     "fig9": PaperExpectation(
         "hit rates grow with STC size",
@@ -159,6 +197,7 @@ EXPECTATIONS: dict[str, PaperExpectation] = {
         lambda r: "; ".join(
             f"{key.split()[0]}: {value}" for key, value in r.summary.items()
         ),
+        _fig16_shape,
     ),
     "mempod-vs-pom": PaperExpectation(
         "MemPod AMMAT ~19%/18% longer than PoM (single/multi)",

@@ -38,7 +38,7 @@ class LintError(ReproError):
 
 @dataclass(frozen=True, slots=True)
 class TraceStep:
-    """One hop of a dataflow trace (source → propagation → sink)."""
+    """One hop of a finding's evidence chain (e.g. declaration → read)."""
 
     path: str
     line: int
@@ -53,7 +53,7 @@ class Finding:
     unknown); a ``# repro: noqa`` anywhere on the statement's lines
     suppresses the finding, so multi-line statements can carry the
     comment on any of their physical lines.  ``trace`` carries the
-    flow-sensitive evidence chain for dataflow rules (D11x/K4xx).
+    evidence chain of the whole-project cache-key rules (K4xx).
     """
 
     rule: str
@@ -134,8 +134,8 @@ class ModuleInfo:
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     #: Qualified names of every function/method defined in the module.
     functions: set[str] = field(default_factory=set)
-    #: Qualified name -> definition node for every function/method (the
-    #: call-summary substrate of the flow analyses).
+    #: Qualified name -> definition node for every function/method (what
+    #: the K403 reachability walk follows).
     function_nodes: dict[str, ast.FunctionDef] = field(default_factory=dict)
 
 
@@ -513,13 +513,21 @@ def parse_suppressions(source: str) -> Suppressions:
 # ----------------------------------------------------------------------
 # Selection
 # ----------------------------------------------------------------------
-def _parse_rule_list(raw: Optional[str]) -> Optional[tuple[str, ...]]:
+def _parse_rule_list(raw: Optional[str], flag: str) -> Optional[tuple[str, ...]]:
+    """Split a ``--select``/``--ignore`` value; every entry must be a
+    prefix of a known rule code, so a stale selection fails loudly."""
+    from repro.lint.rules import RULES
+
     if raw is None:
         return None
     entries = tuple(part.strip() for part in raw.split(",") if part.strip())
-    if not entries:
-        return None
-    return entries
+    unknown = [e for e in entries if not any(r.startswith(e) for r in RULES)]
+    if unknown:
+        raise LintError(
+            f"{flag}: unknown rule code {', '.join(unknown)} "
+            "(see --list-rules)"
+        )
+    return entries or None
 
 
 def rule_selected(
@@ -550,15 +558,8 @@ def module_name_for(path: Path) -> str:
     return ".".join(parts) if parts else path.stem
 
 
-def discover_files(
-    paths: Sequence[Path], exclude: Sequence[Path] = ()
-) -> list[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files.
-
-    ``exclude`` prunes whole subtrees (or single files) from the result —
-    the CI lint job uses it to keep the deliberately-broken lint
-    fixtures out of a ``tests/`` sweep.
-    """
+def discover_files(paths: Sequence[Path]) -> list[Path]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
     files: set[Path] = set()
     for path in paths:
         if path.is_dir():
@@ -567,17 +568,22 @@ def discover_files(
             files.add(path)
         elif not path.exists():
             raise LintError(f"no such file or directory: {path}")
-    if exclude:
-        roots = [e.resolve() for e in exclude]
-        files = {
-            f
-            for f in files
-            if not any(
-                f.resolve() == root or root in f.resolve().parents
-                for root in roots
-            )
-        }
     return sorted(files)
+
+
+def _prune(files: Sequence[Path], exclude: Sequence[Path]) -> list[Path]:
+    """Drop whole subtrees (or single files) named in ``exclude`` — the CI
+    lint job keeps the deliberately-broken lint fixtures out of a
+    ``tests/`` sweep this way."""
+    roots = [e.resolve() for e in exclude]
+    return [
+        f
+        for f in files
+        if not any(
+            f.resolve() == root or root in f.resolve().parents
+            for root in roots
+        )
+    ]
 
 
 def changed_files(paths: Sequence[Path]) -> list[Path]:
@@ -629,12 +635,11 @@ def lint_sources(
     show_unused_noqa: bool = False,
 ) -> list[Finding]:
     """Lint in-memory sources: ``{module: (display_path, source)}``."""
-    from repro.lint.flow import check_flow
     from repro.lint.keys import check_keys
     from repro.lint.rules import check_manifest, check_module
 
-    select_rules = _parse_rule_list(select)
-    ignore_rules = _parse_rule_list(ignore)
+    select_rules = _parse_rule_list(select, "--select")
+    ignore_rules = _parse_rule_list(ignore, "--ignore")
     hot_classes = HOT_CLASSES if hot_classes is None else hot_classes
     hot_functions = HOT_FUNCTIONS if hot_functions is None else hot_functions
     batch_functions = (
@@ -673,9 +678,7 @@ def lint_sources(
     raw.extend(
         check_manifest(index, hot_classes, hot_functions | batch_functions)
     )
-    # Whole-project dataflow passes: determinism taint (D11x) and
-    # cache-key soundness (K4xx) both need the complete index.
-    raw.extend(check_flow(index))
+    # Cache-key soundness (K4xx) needs the complete index.
     raw.extend(check_keys(index))
 
     # Apply suppressions uniformly, by finding path, then report stale
@@ -719,21 +722,10 @@ def lint_paths(
     show_unused_noqa: bool = False,
 ) -> list[Finding]:
     """Lint files or trees on disk; the ``profess lint`` entry point."""
-    files = (
-        changed_files(paths)
-        if changed_only
-        else discover_files(paths, exclude=exclude)
+    files = _prune(
+        changed_files(paths) if changed_only else discover_files(paths),
+        exclude,
     )
-    if changed_only and exclude:
-        roots = [e.resolve() for e in exclude]
-        files = [
-            f
-            for f in files
-            if not any(
-                f.resolve() == root or root in f.resolve().parents
-                for root in roots
-            )
-        ]
     sources: dict[str, tuple[str, str]] = {}
     for file in files:
         module = module_name_for(file)
@@ -770,8 +762,8 @@ def _sarif_location(path: str, line: int, col: int) -> dict[str, object]:
 def render_sarif(findings: Sequence[Finding]) -> dict[str, object]:
     """SARIF 2.1.0 payload for ``profess lint --format sarif``.
 
-    Dataflow traces render as SARIF code flows, so GitHub code scanning
-    shows the full source→sink chain inline.
+    Finding traces render as SARIF code flows, so GitHub code scanning
+    shows the full evidence chain inline.
     """
     from repro.lint.rules import RULES
 

@@ -36,18 +36,11 @@ RULES: dict[str, str] = {
     "D101": "import of the stdlib `random` module outside repro.common.rng",
     "D102": "numpy.random use outside repro.common.rng (seeded substreams only)",
     "D103": "wall-clock/entropy read (time.time, datetime.now, os.urandom, "
-    "uuid) in a simulation module",
-    "D104": "iteration over a set literal/constructor in a simulation module "
-    "(hash order leaks into results)",
+    "uuid) in a simulation module, called or aliased",
+    "D104": "iteration over a set literal/constructor, or over a local bound "
+    "to one, in a simulation module (hash order leaks into results)",
     "D105": "dict subscript or key built from id() in a simulation module "
     "(address-dependent state)",
-    "D110": "flow-sensitive determinism taint: a value derived from a "
-    "nondeterministic source reaches simulation state (full source→sink "
-    "trace attached)",
-    "D111": "nondeterministic callable (clock/entropy/random) aliased to "
-    "a local name and invoked in a simulation module",
-    "D112": "determinism taint crosses a call boundary: a helper returns "
-    "a nondeterministic value that reaches simulation state",
     "H200": "hot-path manifest entry does not resolve to a definition",
     "H201": "class on the hot-path manifest does not declare __slots__",
     "H202": "attribute not in __slots__ assigned on a slotted class",
@@ -233,6 +226,10 @@ class _Checker(ast.NodeVisitor):
         self._raise_depth = 0
         #: Slot unions of enclosing slotted classes (None = H202 off).
         self._slots_stack: list[Optional[frozenset[str]]] = []
+        #: Call targets seen so far (D103: called, so not an alias).
+        self._called: set[ast.expr] = set()
+        #: Per enclosing function, the locals it binds to a set (D104).
+        self._set_locals: list[set[str]] = []
 
     # ------------------------------------------------------------------
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
@@ -306,6 +303,7 @@ class _Checker(ast.NodeVisitor):
     # Calls: D102 / D103 / H203 (logging, print)
     # ------------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
+        self._called.add(node.func)
         resolved = resolve_dotted(self.info, node.func)
         if resolved is not None:
             if not self.is_rng_module and (
@@ -365,17 +363,57 @@ class _Checker(ast.NodeVisitor):
                 )
         self.generic_visit(node)
 
+    def _check_clock_alias(self, node: ast.Name | ast.Attribute) -> None:
+        if (
+            self.sim_scope
+            and isinstance(node.ctx, ast.Load)
+            and node not in self._called
+        ):
+            resolved = resolve_dotted(self.info, node)
+            if resolved in _CLOCK_CALLS:
+                self._emit(
+                    "D103",
+                    node,
+                    f"{resolved} referenced without a call in a simulation "
+                    "module: calling it through an alias still reads it",
+                )
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        self._check_clock_alias(node)
+        self.generic_visit(node)
+
+    def visit_Name(self, node: ast.Name) -> None:
+        self._check_clock_alias(node)
+
     # ------------------------------------------------------------------
     # Iteration: D104
     # ------------------------------------------------------------------
+    def _is_set_expr(self, node: ast.expr) -> bool:
+        if isinstance(node, (ast.Set, ast.SetComp)):
+            return True
+        return isinstance(node, ast.Call) and resolve_dotted(
+            self.info, node.func
+        ) in ("set", "frozenset")
+
+    def _bound_sets(self, node: ast.FunctionDef) -> set[str]:
+        """Locals the function binds to a set display or constructor."""
+        return {
+            target.id
+            for statement in ast.walk(node)
+            if isinstance(statement, ast.Assign)
+            and self._is_set_expr(statement.value)
+            for target in statement.targets
+            if isinstance(target, ast.Name)
+        }
+
     def _check_set_iteration(self, iterable: ast.expr) -> None:
         if not self.sim_scope:
             return
-        is_set = isinstance(iterable, (ast.Set, ast.SetComp))
-        if not is_set and isinstance(iterable, ast.Call):
-            resolved = resolve_dotted(self.info, iterable.func)
-            is_set = resolved in ("set", "frozenset")
-        if is_set:
+        if self._is_set_expr(iterable) or (
+            isinstance(iterable, ast.Name)
+            and bool(self._set_locals)
+            and iterable.id in self._set_locals[-1]
+        ):
             self._emit(
                 "D104",
                 iterable,
@@ -617,6 +655,7 @@ class _Checker(ast.NodeVisitor):
         if is_batch:
             self._batch_depth += 1
         self._func_stack.append(node.name)
+        self._set_locals.append(self._bound_sets(node) if self.sim_scope else set())
         # Visit children selectively: parameter/return annotations never
         # evaluate at runtime (future annotations), so their subtrees
         # must not trip allocation rules like H204.
@@ -629,6 +668,7 @@ class _Checker(ast.NodeVisitor):
                 self.visit(default)
         for statement in node.body:
             self.visit(statement)
+        self._set_locals.pop()
         self._func_stack.pop()
         if is_batch:
             self._batch_depth -= 1

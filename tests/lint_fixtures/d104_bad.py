@@ -5,3 +5,10 @@ def charge(owners, stats):
     for owner in {owners[0], owners[1]}:
         stats[owner] += 1
     return [core for core in set(stats)]
+
+
+class Engine:
+    def enqueue(self):
+        pending = {3, 1, 2}
+        for item in pending:
+            self.queue.append(item)

@@ -9,3 +9,10 @@ def charge(owners, stats):
         seen.add(owner)
         stats[owner] += 1
     return [core for core in sorted(seen)]
+
+
+class Engine:
+    def enqueue(self):
+        pending = {3, 1, 2}
+        for item in sorted(pending):
+            self.queue.append(item)

@@ -44,15 +44,26 @@ class TestParser:
             ("--requests", "0"),
             ("--single-requests", "0"),
             ("--single-requests", "-5"),
+            ("--validate-every", "-1"),
         ],
-        ids=["0", "-3", "requests-0", "single-requests-0", "single-requests--5"],
+        ids=[
+            "0",
+            "-3",
+            "requests-0",
+            "single-requests-0",
+            "single-requests--5",
+            "validate-every--1",
+        ],
     )
     def test_rejects_nonpositive_jobs(self, flag, value, capsys):
-        # Worker and request counts share one positive-count check.
+        # Worker and request counts share one positive-count check; the
+        # audit interval may be 0 (off) but never negative.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["run", "fig5", flag, value])
         assert excinfo.value.code == 2
-        assert "must be >= 1" in capsys.readouterr().err
+        bound = ">= 0" if flag == "--validate-every" else ">= 1"
+        err = capsys.readouterr().err
+        assert f"must be {bound}" in err and err.count("\n") == 1
 
     def test_rejects_cache_dir_that_is_a_file(self, tmp_path, capsys):
         blocker = tmp_path / "notadir"

@@ -63,9 +63,6 @@ CASES: dict[str, Case] = {
     "D103": Case(module="repro.sim.fixture"),
     "D104": Case(module="repro.sim.fixture"),
     "D105": Case(module="repro.sim.fixture"),
-    "D110": Case(module="repro.sim.fixture"),
-    "D111": Case(module="repro.sim.fixture"),
-    "D112": Case(module="repro.sim.fixture"),
     "H200": Case(
         module="repro.sim.fixture",
         bad_classes=("Missing",),
@@ -170,8 +167,10 @@ class TestRulesFire:
         # Spot-check multiplicity: every banned site is reported, not
         # just the first one per file.
         assert len(lint_case("D101", "bad")) == 2  # import + from-import
-        assert len(lint_case("D103", "bad")) == 3  # time, datetime, urandom
-        assert len(lint_case("D104", "bad")) == 2  # for + comprehension
+        # time, datetime, urandom, helper return, local store, alias,
+        # pass-through argument
+        assert len(lint_case("D103", "bad")) == 7
+        assert len(lint_case("D104", "bad")) == 3  # for, comprehension, local
         assert len(lint_case("D105", "bad")) == 2  # subscript + dict key
         assert len(lint_case("H202", "bad")) == 2  # __init__ + method
         assert len(lint_case("H203", "bad")) == 3  # print, f-string, try
@@ -181,8 +180,6 @@ class TestRulesFire:
         assert len(lint_case("C302", "bad")) == 3  # list, dict, set
         assert len(lint_case("C303", "bad")) == 2  # local class + builtin
         assert len(lint_case("C306", "bad")) == 2  # plain + inside tuple
-        assert len(lint_case("D110", "bad")) == 2  # clock store + set order
-        assert len(lint_case("D112", "bad")) == 2  # helper return + flow-through
         assert len(lint_case("K402", "bad")) == 2  # ghost + covered entry
 
 
@@ -284,9 +281,20 @@ class TestCli:
         capsys.readouterr()
 
     def test_missing_path_exits_2(self, capsys):
-        code = cli.main(["lint", str(FIXTURES / "does_not_exist.py")])
-        assert code == 2
-        assert "lint:" in capsys.readouterr().err
+        # Usage errors share the exit code: a missing path, and a
+        # --select/--ignore entry that prefixes no rule code (a removed
+        # rule such as D110 included), each reported on one line.
+        good = str(FIXTURES / "c301_good.py")
+        for argv in (
+            [str(FIXTURES / "does_not_exist.py")],
+            [good, "--select", "D110"],
+            [good, "--select", "D999"],
+            [good, "--select", "C,D999"],
+            [good, "--ignore", "D999"],
+        ):
+            assert cli.main(["lint", *argv]) == 2, argv
+            err = capsys.readouterr().err
+            assert err.startswith("lint:") and err.count("\n") == 1, argv
 
     def test_list_rules(self, capsys):
         assert cli.main(["lint", "--list-rules"]) == 0

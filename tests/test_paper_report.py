@@ -1,5 +1,9 @@
 """EXPERIMENTS.md generator tests (simulation-free via monkeypatching)."""
 
+from pathlib import Path
+
+import pytest
+
 from repro.experiments import paper_report
 from repro.experiments.base import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
@@ -81,3 +85,66 @@ class TestRenderFromStore:
         store = ResultStore(tmp_path / "store")
         text = paper_report.render_from_store(store, tmp_path / "E.md")
         assert "(no stored result)" in text
+
+
+ROOT = Path(__file__).parent.parent
+
+
+def _headlines(text):
+    return [
+        line
+        for line in text.splitlines()
+        if line.startswith("## ") or line.startswith("* measured:")
+    ]
+
+
+class TestCommittedReport:
+    def test_experiments_md_matches_stored_results(self, tmp_path):
+        # Every verdict in the committed report is what the code computes
+        # from results/*.json today (no simulation: rendering only).
+        rendered = paper_report.render_from_store(
+            ResultStore(ROOT / "results"), tmp_path / "E.md"
+        )
+        committed = (ROOT / "EXPERIMENTS.md").read_text(encoding="utf-8")
+        assert _headlines(rendered) == _headlines(committed)
+
+
+def _verdict(experiment_id, rows):
+    check = paper_report.EXPECTATIONS[experiment_id].shape_holds
+    return check(ExperimentResult(experiment_id, "t", ["h"], rows))
+
+
+class TestShapeVerdicts:
+    @pytest.mark.parametrize(
+        "mcf, omnetpp, holds",
+        [(0.99, 1.2, True), (1.01, 1.2, False), (0.99, 0.9, True)],
+    )
+    def test_fig6_most_up_mcf_down(self, mcf, omnetpp, holds):
+        rows = [
+            ["lbm", 0.8, 0.9, 1.13],
+            ["milc", 0.4, 0.6, 1.39],
+            ["soplex", 0.6, 0.7, 1.17],
+            ["omnetpp", 0.5, 0.5, omnetpp],
+            ["mcf", 0.28, 0.27, mcf],
+        ]
+        assert _verdict("fig6", rows) is holds
+
+    @pytest.mark.parametrize(
+        "half, double, holds",
+        [(0.95, 1.05, True), (0.91, 1.09, True), (0.89, 1.0, False),
+         (1.0, 1.11, False)],
+    )
+    def test_fig8_within_ten_percent(self, half, double, holds):
+        rows = [["mcf", half, 1.0, double], ["lbm", 0.99, 1.0, 1.01]]
+        assert _verdict("fig8", rows) is holds
+
+    def test_fig16_needs_relief_and_a_lighter_program_paying(self):
+        worst, light = ["w09", "mcf", 3.6, 3.5, 3.3], ["w09", "lbm", 2.0, 2.0]
+        # Worst relieved, lighter program slower under ProFess: holds.
+        assert _verdict("fig16", [worst, light + [2.2]])
+        # Everyone faster under ProFess: the paper's trade-off is absent.
+        assert not _verdict("fig16", [worst, light + [1.9]])
+        # The worst program not relieved.
+        assert not _verdict(
+            "fig16", [["w09", "mcf", 3.6, 3.5, 3.7], light + [2.2]]
+        )
