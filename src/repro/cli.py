@@ -37,11 +37,22 @@ def _positive_count(value: str) -> int:
     return count
 
 
-def _cache_dir(value: str) -> Path:
+def _directory(value: str) -> Path:
     path = Path(value)
     if path.exists() and not path.is_dir():
         raise argparse.ArgumentTypeError(
             f"{value!r} exists and is not a directory"
+        )
+    return path
+
+
+def _output_file(value: str) -> Path:
+    path = Path(value)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(
+            f"directory {str(path.parent)!r} does not exist"
         )
     return path
 
@@ -70,7 +81,7 @@ def _add_execution_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--cache-dir",
-        type=_cache_dir,
+        type=_directory,
         default=None,
         help="directory for the persistent result cache (shared across "
         "invocations; repeat runs become cache hits)",
@@ -195,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         "poisoning results (0 = off; does not affect cache keys)",
     )
     run_parser.add_argument(
-        "--out", type=Path, default=None, help="directory for .txt reports"
+        "--out", type=_directory, default=None, help="directory for .txt reports"
     )
     run_parser.add_argument("--verbose", action="store_true")
     run_parser.add_argument(
@@ -223,10 +234,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     report_parser.add_argument("--seed", type=int, default=0)
     report_parser.add_argument(
-        "--output", type=Path, default=Path("EXPERIMENTS.md")
+        "--output", type=_output_file, default=Path("EXPERIMENTS.md")
     )
     report_parser.add_argument(
-        "--store", type=Path, default=None, help="directory for JSON results"
+        "--store", type=_directory, default=None, help="directory for JSON results"
     )
     report_parser.add_argument("--verbose", action="store_true")
     _add_execution_flags(report_parser)
@@ -235,11 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="synthesize a program trace to a .npz file"
     )
     trace_parser.add_argument("program", help="Table 9 program name")
-    trace_parser.add_argument("output", type=Path)
+    trace_parser.add_argument("output", type=_output_file)
     trace_parser.add_argument(
         "--requests", type=_positive_count, default=50_000
     )
-    trace_parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
+    trace_parser.add_argument(
+        "--scale", type=_positive_count, default=DEFAULT_SCALE
+    )
     trace_parser.add_argument("--seed", type=int, default=0)
 
     char_parser = subparsers.add_parser(
@@ -251,7 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     char_parser.add_argument(
         "--requests", type=_positive_count, default=50_000
     )
-    char_parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
+    char_parser.add_argument(
+        "--scale", type=_positive_count, default=DEFAULT_SCALE
+    )
     char_parser.add_argument("--seed", type=int, default=0)
 
     cache_parser = subparsers.add_parser(
@@ -266,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_parser.add_argument(
         "--cache-dir",
-        type=_cache_dir,
+        type=_directory,
         required=True,
         help="the cache directory to inspect (same flag as 'profess run')",
     )
@@ -281,99 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="delete every cached result (quarantine is left alone "
         "unless --prune-quarantine is also given)",
     )
-
-    perf_parser = subparsers.add_parser(
-        "perf",
-        help="run the standard kernel benchmark (events/sec)",
-        description="Measure simulation-kernel throughput on two fixed "
-        "scenarios and write BENCH_kernel.json.  With --baseline, exits "
-        "non-zero when events/sec regresses below --min-ratio times the "
-        "recorded rates (the CI perf-smoke gate).  With --sweep, run the "
-        "sweep-scale benchmark instead: a few hundred small specs "
-        "through the executor, gating throughput "
-        "(floor) and parent peak RSS (ceiling) against a baseline "
-        "BENCH_sweep.json (the CI sweep-scale gate).",
-    )
-    perf_parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="shorter traces (CI-sized; compare only against a quick baseline)",
-    )
-    perf_parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="repeats per scenario; the best repeat is reported",
-    )
-    perf_parser.add_argument(
-        "--out",
-        type=Path,
-        default=None,
-        help="where to write the benchmark payload (default "
-        "BENCH_kernel.json, or BENCH_sweep.json with --sweep)",
-    )
-    perf_parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help="baseline BENCH_kernel.json (or BENCH_sweep.json with "
-        "--sweep) to compare against",
-    )
-    perf_parser.add_argument(
-        "--min-ratio",
-        type=float,
-        default=0.7,
-        help="fail when events/sec drops below this fraction of baseline",
-    )
-    perf_parser.add_argument(
-        "--sweep",
-        action="store_true",
-        help="run the sweep-scale execution benchmark instead of the "
-        "kernel benchmark (throughput floor + parent peak-RSS ceiling)",
-    )
-    perf_parser.add_argument(
-        "--sweep-specs",
-        type=int,
-        default=200,
-        metavar="N",
-        help="wave width for --sweep (baselines only compare at equal N)",
-    )
-    perf_parser.add_argument(
-        "--jobs",
-        type=_positive_count,
-        default=1,
-        help="worker processes for --sweep (1 = in-process serial)",
-    )
-    perf_parser.add_argument(
-        "--max-rss-ratio",
-        type=float,
-        default=1.4,
-        help="with --sweep and --baseline: fail when parent peak RSS "
-        "exceeds this multiple of the baseline's",
-    )
-    perf_parser.add_argument(
-        "--components",
-        action="store_true",
-        help="also run each scenario once with per-component timing "
-        "(instrumented event loop; slower) and print the breakdown",
-    )
-    perf_parser.add_argument(
-        "--decode",
-        action="store_true",
-        help="also benchmark trace decoding itself: the legacy "
-        "per-element front end vs the batched numpy decoder "
-        "(before/after evidence for DESIGN.md Sec. 12)",
-    )
-    perf_parser.add_argument(
-        "--summary",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="append a markdown delta-vs-baseline table to FILE (CI "
-        "writes this to $GITHUB_STEP_SUMMARY)",
-    )
-    perf_parser.add_argument("--verbose", action="store_true")
-    _add_backend_flag(perf_parser)
 
     golden_parser = subparsers.add_parser(
         "golden",
@@ -392,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     golden_parser.add_argument(
         "--out",
-        type=Path,
+        type=_output_file,
         default=None,
         metavar="FILE",
         help="write {python, scenarios: {name: sha256}} JSON to FILE",
@@ -533,7 +455,7 @@ def _run(args: argparse.Namespace) -> int:
         stats = pstats.Stats(profiler, stream=sys.stdout)
         stats.strip_dirs().sort_stats("cumulative").print_stats(25)
     if args.verbose:
-        from repro.perf.sweep_bench import peak_rss_mb
+        from repro.perf.profile import peak_rss_mb
 
         print(format_run_stats(runner))
         rss = peak_rss_mb()
@@ -608,145 +530,6 @@ def _characterize(args: argparse.Namespace) -> int:
         "median block reuse dist:   "
         + (f"{reuse:.0f}" if reuse is not None else "n/a (streaming)")
     )
-    return 0
-
-
-def _perf_sweep(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.perf.sweep_bench import (
-        compare_sweep_to_baseline,
-        run_sweep_benchmark,
-        sweep_markdown_summary,
-        write_sweep_json,
-    )
-
-    progress = print if args.verbose else None
-    payload = run_sweep_benchmark(
-        count=args.sweep_specs,
-        jobs=args.jobs,
-        progress=progress,
-    )
-    print(
-        f"sweep    {payload['spec_count']} specs  "
-        f"jobs={payload['jobs']}  "
-        f"{payload['requests_per_sec']:>11,.0f} requests/sec  "
-        f"peak RSS {payload['peak_rss_mb']:,.1f} MiB"
-    )
-    if payload["failed"]:
-        print(
-            f"PERF WARNING: {payload['failed']} spec(s) failed",
-            file=sys.stderr,
-        )
-    out = args.out if args.out is not None else Path("BENCH_sweep.json")
-    write_sweep_json(payload, out)
-    print(f"wrote {out}")
-
-    baseline = None
-    if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-
-    if args.summary is not None:
-        with args.summary.open("a") as handle:
-            handle.write(sweep_markdown_summary(payload, baseline))
-        print(f"appended summary to {args.summary}")
-
-    if baseline is not None:
-        failures = compare_sweep_to_baseline(
-            payload,
-            baseline,
-            min_ratio=args.min_ratio,
-            max_rss_ratio=args.max_rss_ratio,
-        )
-        if failures:
-            for failure in failures:
-                print(f"SWEEP REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(
-            f"within {args.min_ratio:.2f}x throughput / "
-            f"{args.max_rss_ratio:.2f}x RSS of baseline {args.baseline}"
-        )
-    return 0
-
-
-def _perf(args: argparse.Namespace) -> int:
-    import json
-
-    if args.sweep:
-        return _perf_sweep(args)
-
-    from repro.perf.bench import (
-        compare_to_baseline,
-        compatibility_warnings,
-        markdown_summary,
-        run_kernel_benchmark,
-        standard_scenarios,
-        write_bench_json,
-    )
-    from repro.perf.profile import KernelProfile
-
-    progress = print if args.verbose else None
-    payload = run_kernel_benchmark(
-        quick=args.quick,
-        repeats=args.repeats,
-        progress=progress,
-        backend=args.mem_backend,
-    )
-    for scenario in payload["scenarios"]:
-        print(
-            f"{scenario['name']:<8}"
-            f"{scenario['backend']:<10}"
-            f"{scenario['events']:>10,} events  "
-            f"{scenario['events_per_sec']:>11,.0f} events/sec  "
-            f"{scenario['requests_per_sec']:>10,.0f} requests/sec"
-        )
-
-    if args.decode:
-        from repro.perf.decode_bench import run_decode_benchmark
-
-        decode = run_decode_benchmark(
-            quick=args.quick, repeats=args.repeats, progress=progress
-        )
-        payload["decode"] = decode
-        print(
-            f"decode  {decode['requests']:>10,} requests  "
-            f"legacy {decode['legacy_seconds']:.4f}s  "
-            f"batched {decode['batched_seconds']:.4f}s  "
-            f"{decode['speedup']:.1f}x (identical={decode['identical']})"
-        )
-
-    out = args.out if args.out is not None else Path("BENCH_kernel.json")
-    write_bench_json(payload, out)
-    print(f"wrote {out}")
-
-    if args.components:
-        for scenario in standard_scenarios(quick=args.quick):
-            profile = KernelProfile(component_timing=True)
-            scenario.build_driver(profile).run()
-            print(f"\n{scenario.name}: time per component (instrumented)")
-            for label, calls, seconds in profile.component_table()[:12]:
-                print(f"  {label:<40} {calls:>9,} calls  {seconds:>8.3f}s")
-
-    baseline = None
-    if args.baseline is not None:
-        baseline = json.loads(args.baseline.read_text())
-
-    if args.summary is not None:
-        with args.summary.open("a") as handle:
-            handle.write(markdown_summary(payload, baseline))
-        print(f"appended summary to {args.summary}")
-
-    if baseline is not None:
-        for warning in compatibility_warnings(payload, baseline):
-            print(f"PERF WARNING: {warning}", file=sys.stderr)
-        failures = compare_to_baseline(
-            payload, baseline, min_ratio=args.min_ratio
-        )
-        if failures:
-            for failure in failures:
-                print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-            return 1
-        print(f"within {args.min_ratio:.2f}x of baseline {args.baseline}")
     return 0
 
 
@@ -927,8 +710,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _trace(args)
     if args.command == "characterize":
         return _characterize(args)
-    if args.command == "perf":
-        return _perf(args)
     if args.command == "cache":
         return _cache(args)
     if args.command == "golden":

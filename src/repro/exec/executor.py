@@ -437,7 +437,9 @@ class Executor:
         failures: list[RunFailure],
         queue: deque[tuple[str, RunSpec, int]],
     ) -> None:
-        pool = ProcessPoolExecutor(max_workers=self.jobs)
+        # Under the fork start method the pool forks all its workers at
+        # the first submit: never more than this round has specs.
+        pool = ProcessPoolExecutor(max_workers=min(self.jobs, len(items)))
         inflight: dict[Future, _Flight] = {}
         replaced_workers = False
         try:

@@ -221,25 +221,23 @@ def _header(description: str) -> list[str]:
         "substrate and scale); the *shape* annotation records whether the",
         "paper's qualitative claim holds in this reproduction.",
         "",
-        "Profiling a run: `profess perf` measures kernel throughput on two",
-        "fixed scenarios and writes `BENCH_kernel.json` (`--quick` for",
-        "CI-sized traces, `--components` for a per-component time",
-        "breakdown, `--baseline <json>` to fail on a throughput",
-        "regression); `profess run <id> --profile` prints the cProfile",
-        "hot-function table for one experiment (use `--jobs 1` so the",
-        "simulation stays in the profiled process).  See DESIGN.md §10.",
+        "Profiling a run: `python3 perfbench/run.py --workload",
+        "w01-profess` (or `fig5-cold`, `fanout-1k`, `all`) is the",
+        "repository benchmark (`BENCHMARK.json`): end-to-end wall time,",
+        "CPU time and peak RSS at a calibrated reference host speed, and",
+        "with `--trace 1` a per-layer split (trace build, core,",
+        "controller, channel, event loop, executor).  `profess run <id>",
+        "--profile` prints the cProfile hot-function table for one",
+        "experiment (use `--jobs 1` so the simulation stays in the",
+        "profiled process).  See DESIGN.md §10 and `perfbench/README.md`.",
         "",
-        "Reading the CI perf trend: every CI run's *Summary* page carries",
-        "a kernel-benchmark table (one row per scenario: events/sec,",
-        "requests/sec, and the delta against the checked-in",
-        "`benchmarks/baselines/kernel_baseline.json`), plus the trace-",
-        "decode before/after line (DESIGN.md §12).  Deltas are best-of-3",
-        "on shared runners, so read the *trend across commits*, not one",
-        "run; the hard gate only fails below 0.7× baseline.  A `:warning:`",
-        "line flags a baseline recorded under a different Python minor",
-        "version or machine — deltas there may reflect the interpreter,",
-        "not the kernel.  The raw payload is the `BENCH_kernel-<sha>`",
-        "artifact on each run.",
+        "Reading the CI benchmark: the `benchmark` job runs `python3",
+        "perfbench/run.py --workload all --seconds 8` and fails when an",
+        "output mismatches, a repetition fails, or a metric exceeds its",
+        "ceiling (about 2× the measured median wall time of each",
+        "workload, 1.4× the fanout-1k parent peak RSS).  The full output",
+        "is the `bench-<sha>` artifact on each run; read the trend across",
+        "commits, not one run.",
         "",
         "Resuming an interrupted sweep: run the long figure sweeps with a",
         "disk cache and a journal, e.g. `profess run fig10 fig11 fig12",
@@ -258,19 +256,12 @@ def _header(description: str) -> list[str]:
         "`--fail-fast` to abort on the first failure instead.  See",
         "DESIGN.md §15 for the full failure-handling contract.",
         "",
-        "Measuring sweep memory footprint: `profess perf --sweep",
-        "--sweep-specs 200 --jobs 4` runs a synthetic 200-spec wave",
-        "through the executor with a streaming reducer and writes",
-        "`BENCH_sweep.json` (aggregate",
-        "requests/sec plus the parent's peak RSS in MiB); `--baseline",
-        "benchmarks/baselines/sweep_rss_baseline.json` fails below",
-        "0.7× baseline throughput or above the `--max-rss-ratio`",
-        "(default 1.4×) RSS ceiling — a change that re-materializes",
-        "full results in the parent scales RSS with spec count and",
-        "trips it.  `profess run <id> --verbose` prints the same",
-        "`parent peak RSS` line after any sweep.  CI runs this as the",
-        "`sweep-scale` job with a delta table on the",
-        "run's *Summary* page.  See DESIGN.md §17.",
+        "Measuring sweep memory footprint: `profess run <id> --verbose`",
+        "prints a `parent peak RSS` line after any sweep, and the",
+        "benchmark's `fanout-1k` workload records the parent's peak RSS",
+        "over 1000 specs.  `tests/test_streaming.py::TestWaveRetention`",
+        "checks deterministically that a streamed wave keeps no result in",
+        "the parent.  See DESIGN.md §17.",
         "",
     ]
 

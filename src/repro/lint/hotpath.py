@@ -4,8 +4,9 @@ PR 2's kernel fast path assumes a specific set of structs stays *slim*
 (``__slots__``, fixed attribute sets) and a specific set of functions
 stays *pure* (no f-strings, logging, or try/except on the per-event
 path).  This module is the single place that contract is written down;
-the H-rules of :mod:`repro.lint` enforce it statically, and the perf
-harness (``profess perf``) measures what it buys.
+the H-rules of :mod:`repro.lint` enforce it statically, and the
+repository benchmark (``perfbench/``, ``BENCHMARK.json``) measures what
+it buys end to end.
 
 Adding a class here obliges it to declare ``__slots__`` (H201) and to
 create every instance attribute inside ``__init__`` (H202).  Adding a
@@ -44,7 +45,6 @@ HOT_CLASSES: frozenset[str] = frozenset(
         "repro.mem.channel.ModuleState",
         "repro.mem.request.DeviceAddress",
         "repro.mem.request.MemRequest",
-        "repro.mem.scheduler.FrFcfsCapScheduler",
         "repro.policies.base.AccessContext",
         "repro.traces.decode.DecodedChunk",
         "repro.traces.decode.TraceDecoder",
@@ -68,8 +68,6 @@ HOT_FUNCTIONS: frozenset[str] = frozenset(
         "repro.mem.channel.Channel._tick_python",
         "repro.mem.channel.Channel.enqueue",
         "repro.mem.channel.Channel.enqueue_soa",
-        "repro.mem.scheduler.FrFcfsCapScheduler.select",
-        "repro.mem.scheduler.FrFcfsCapScheduler.select_batched",
     }
 )
 
@@ -86,6 +84,5 @@ HOT_BATCH_FUNCTIONS: frozenset[str] = frozenset(
         "repro.mem.batch.RequestBatch.push",
         "repro.mem.channel.Channel._tick_python",
         "repro.mem.channel.Channel.enqueue_soa",
-        "repro.mem.scheduler.FrFcfsCapScheduler.select_batched",
     }
 )

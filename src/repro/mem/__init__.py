@@ -16,7 +16,6 @@ from repro.mem.bank import Bank
 from repro.mem.batch import NO_ROW, BankView, RequestBatch
 from repro.mem.channel import Channel
 from repro.mem.power import EnergyMeter
-from repro.mem.scheduler import FrFcfsCapScheduler
 
 __all__ = [
     "Bank",
@@ -24,7 +23,6 @@ __all__ = [
     "Channel",
     "DeviceAddress",
     "EnergyMeter",
-    "FrFcfsCapScheduler",
     "MemRequest",
     "Module",
     "NO_ROW",

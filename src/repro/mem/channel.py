@@ -33,12 +33,12 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro.common.config import MemTimings
+from repro.common.errors import InvalidValueError
 from repro.common.events import EventQueue
 from repro.mem.backend import channel_extension, resolve_backend
 from repro.mem.batch import NO_ROW, BankView, RequestBatch
 from repro.mem.power import EnergyMeter
 from repro.mem.request import MemRequest, Module
-from repro.mem.scheduler import FrFcfsCapScheduler
 
 # Module-level spellings of the channel's tuning constants: the tick
 # paths read them as globals (one dict probe) instead of class-attribute
@@ -47,7 +47,6 @@ _CMD_GAP = 4
 _WRITE_QUEUE_HIGH = 24
 _WRITE_QUEUE_LOW = 8
 _WRITE_QUEUE_CAP = 32
-_VECTOR_SCAN_MIN = 64
 
 
 class ChannelStats:
@@ -136,7 +135,8 @@ class Channel:
         "_events",
         "_schedule_now",
         "_modules",
-        "_scheduler",
+        "_cap",
+        "_streak",
         "_energy",
         "_swap_latency",
         "_lines_per_block",
@@ -188,7 +188,13 @@ class Channel:
             ModuleState(m1_timings, banks_per_rank, 0),
             ModuleState(m2_timings, banks_per_rank, banks_per_rank),
         )
-        self._scheduler = FrFcfsCapScheduler(frfcfs_cap)
+        if frfcfs_cap < 1:
+            raise InvalidValueError("frfcfs_cap must be >= 1")
+        # FR-FCFS-Cap (Section 4.1): row hits go first, but at most
+        # ``cap`` in a row before the oldest request issues regardless;
+        # ``_streak`` counts the consecutive hits served so far.
+        self._cap = frfcfs_cap
+        self._streak = 0
         self._energy = energy
         self._swap_latency = swap_latency
         self._lines_per_block = lines_per_block
@@ -390,12 +396,6 @@ class Channel:
     WRITE_QUEUE_LOW = _WRITE_QUEUE_LOW
     #: Posted-write acceptance backpressures beyond this depth.
     WRITE_QUEUE_CAP = _WRITE_QUEUE_CAP
-    #: Queue depth at which the FR-FCFS scan switches from the scalar
-    #: memoryview walk to one vectorized numpy pass.  The scalar walk
-    #: exits at the first hit, so the numpy fixed cost only pays off on
-    #: deep queues; ordinary write-drain bursts (depth <= 32) measure
-    #: faster scalar.
-    VECTOR_SCAN_MIN = _VECTOR_SCAN_MIN
 
     def _tick_python(self, now: int) -> None:
         """One fused scheduling decision: the pure-Python backend.
@@ -432,45 +432,35 @@ class Channel:
         rows = queue.row_v
         open_row = self._open_row_v
         count = queue.count
-        scheduler = self._scheduler
-        streak = scheduler._consecutive_hits
-        # --- FR-FCFS-Cap selection (pre-refresh bank state) ---
+        streak = self._streak
+        # --- FR-FCFS-Cap selection (pre-refresh bank state): the oldest
+        # row hit while the streak is under the cap, else the oldest ---
         if count == 1:
             chosen = 0
             slot = order[0]
             if open_row[keys[slot]] == rows[slot]:
-                scheduler._consecutive_hits = streak + 1
+                self._streak = streak + 1
             else:
-                scheduler._consecutive_hits = 0
+                self._streak = 0
         else:
             chosen = -1
-            if streak < scheduler.cap:
-                if count >= _VECTOR_SCAN_MIN:
-                    live = queue.order[:count]
-                    hits = (
-                        self._open_row[queue.bank_key[live]]
-                        == queue.row[live]
-                    )
-                    first = hits.argmax()
-                    if hits[first]:
-                        chosen = int(first)
-                else:
-                    index = 0
-                    while index < count:
-                        slot = order[index]
-                        if open_row[keys[slot]] == rows[slot]:
-                            chosen = index
-                            break
-                        index += 1
+            if streak < self._cap:
+                index = 0
+                while index < count:
+                    slot = order[index]
+                    if open_row[keys[slot]] == rows[slot]:
+                        chosen = index
+                        break
+                    index += 1
             if chosen >= 0:
-                scheduler._consecutive_hits = streak + 1
+                self._streak = streak + 1
             else:
                 chosen = 0
                 slot = order[0]
                 if open_row[keys[slot]] == rows[slot]:
-                    scheduler._consecutive_hits = streak + 1
+                    self._streak = streak + 1
                 else:
-                    scheduler._consecutive_hits = 0
+                    self._streak = 0
             slot = order[chosen]
         # --- dequeue: shift the arrival order over the gap ---
         last = count - 1
@@ -662,7 +652,7 @@ class Channel:
             end = start + self._swap_latency
             self._blocked_until = end
             self._bus_free_at = end
-            self._scheduler.reset_streak()
+            self._streak = 0
             self._stats.swaps += 1
         # Both blocks were just rewritten: the involved rows end up open
         # and dirty (their array write-back is pending).

@@ -1,32 +1,10 @@
-"""Kernel performance instrumentation and benchmarking.
+"""Kernel instrumentation: :class:`KernelProfile` counters and the
+instrumented event loop's per-component buckets.
 
-The simulator's value scales with simulated requests per wall-second;
-this package is the layer that measures it: :class:`KernelProfile`
-accumulates throughput counters for one or more runs (optionally with
-per-component time buckets), and :mod:`repro.perf.bench` defines the
-standard kernel benchmark behind ``profess perf`` / ``BENCH_kernel.json``.
+The repository's benchmark lives in ``perfbench/`` (``BENCHMARK.json``);
+its traced mode reads these buckets to split a run into layers.
 """
 
-from repro.perf.profile import KernelProfile
-from repro.perf.bench import (
-    BENCH_SCHEMA_VERSION,
-    KernelBenchResult,
-    compare_to_baseline,
-    compatibility_warnings,
-    markdown_summary,
-    run_kernel_benchmark,
-    standard_scenarios,
-)
-from repro.perf.decode_bench import run_decode_benchmark
+from repro.perf.profile import KernelProfile, peak_rss_mb
 
-__all__ = [
-    "BENCH_SCHEMA_VERSION",
-    "KernelBenchResult",
-    "KernelProfile",
-    "compare_to_baseline",
-    "compatibility_warnings",
-    "markdown_summary",
-    "run_decode_benchmark",
-    "run_kernel_benchmark",
-    "standard_scenarios",
-]
+__all__ = ["KernelProfile", "peak_rss_mb"]

@@ -1,21 +1,23 @@
-"""Throughput counters for the simulation kernel.
+"""Kernel counters for one or more simulation runs.
 
 A :class:`KernelProfile` is handed to :class:`repro.sim.engine.
 SimulationDriver` and accumulates events processed, demand requests
-served, simulated cycles, and wall-clock seconds across one or more
-runs.  When ``component_timing`` is enabled the driver switches to the
+served, simulated cycles, and wall-clock seconds across runs.  When
+``component_timing`` is enabled the driver switches to the
 instrumented event loop (:meth:`EventQueue.run_profiled`), which times
-every callback into per-component buckets — useful for finding the next
-hot spot, at a substantial slowdown.  With the flag off (the default)
+every callback into per-component buckets; the benchmark's traced mode
+(``perfbench/spans.py``) reads them.  With the flag off (the default)
 the kernel runs the uninstrumented fast path and the profile costs one
 attribute check per run, not per event.
 """
 
 from __future__ import annotations
 
+import sys
+
 
 class KernelProfile:
-    """Accumulated kernel throughput counters (events, requests, wall time)."""
+    """Accumulated kernel counters (events, requests, cycles, wall time)."""
 
     __slots__ = (
         "events_processed",
@@ -41,7 +43,6 @@ class KernelProfile:
         #: (e.g. ``Channel._tick``, ``TraceCore._dispatch``).
         self.component_buckets: dict[str, list] = {}
 
-    # ------------------------------------------------------------------
     def record_run(
         self, events: int, requests: int, cycles: int, wall_seconds: float
     ) -> None:
@@ -52,53 +53,18 @@ class KernelProfile:
         self.wall_seconds += wall_seconds
         self.runs += 1
 
-    # ------------------------------------------------------------------
-    @property
-    def events_per_sec(self) -> float:
-        """Processed events per wall-second (the kernel's headline rate)."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.events_processed / self.wall_seconds
 
-    @property
-    def requests_per_sec(self) -> float:
-        """Simulated 64-B requests served per wall-second."""
-        if self.wall_seconds <= 0:
-            return 0.0
-        return self.requests_served / self.wall_seconds
+def peak_rss_mb() -> float:
+    """This process's lifetime peak resident set size, in MiB.
 
-    def component_table(self) -> list[tuple[str, int, float]]:
-        """(label, calls, seconds) rows, heaviest bucket first."""
-        return sorted(
-            (
-                (label, bucket[0], bucket[1])
-                for label, bucket in self.component_buckets.items()
-            ),
-            key=lambda row: row[2],
-            reverse=True,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-compatible summary (feeds ``BENCH_kernel.json``)."""
-        payload = {
-            "events_processed": self.events_processed,
-            "requests_served": self.requests_served,
-            "cycles_simulated": self.cycles_simulated,
-            "wall_seconds": self.wall_seconds,
-            "runs": self.runs,
-            "events_per_sec": self.events_per_sec,
-            "requests_per_sec": self.requests_per_sec,
-        }
-        if self.component_buckets:
-            payload["components"] = {
-                label: {"calls": calls, "seconds": seconds}
-                for label, calls, seconds in self.component_table()
-            }
-        return payload
-
-    def __repr__(self) -> str:
-        return (
-            f"KernelProfile(runs={self.runs}, "
-            f"events={self.events_processed}, "
-            f"events_per_sec={self.events_per_sec:,.0f})"
-        )
+    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS; a platform
+    without :mod:`resource` (Windows) reports 0.0.
+    """
+    try:
+        import resource
+    except ImportError:
+        return 0.0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    if sys.platform == "darwin":
+        return peak / (1024.0 * 1024.0)
+    return peak / 1024.0

@@ -1,6 +1,6 @@
 """The golden determinism scenarios, canonical serialization, and digests.
 
-``tests/golden/`` pins two full simulations — every result field, byte
+``tests/golden/`` pins four full simulations — every result field, byte
 for byte — against kernel changes.  This module is the single source of
 truth for *what* those scenarios are and *how* a result is serialized
 for comparison, shared by the test suite (``tests/
@@ -8,9 +8,11 @@ test_golden_determinism.py``), the ``profess golden`` CLI, and the CI
 ``determinism`` job that regenerates the blobs on multiple Python
 versions and cross-checks their digests.
 
-The scenarios were captured from the pre-optimization kernel (commit
-a771054); regenerate the blobs ONLY when a change is *intended* to alter
-simulation results, and say so explicitly in the commit message.
+The first three scenarios were captured from the pre-optimization
+kernel (commit a771054); ``quad_profess_sampled`` was added later, with
+its blob regenerated under both memory backends.  Regenerate the blobs
+ONLY when a change is *intended* to alter simulation results, and say so
+explicitly in the commit message.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ def _single_pom_driver(
 
 def _quad_profess_driver(
     mem_backend: Optional[str] = None,
+    m_samp: Optional[int] = None,
 ) -> "SimulationDriver":
     from repro.common.config import paper_quad_core
     from repro.sim.engine import SimulationDriver
     from repro.traces.generator import synthesize_trace
 
-    config = paper_quad_core(scale=128)
+    config = paper_quad_core(scale=128, m_samp=m_samp)
     traces = [
         ("zeusmp", synthesize_trace("zeusmp", 1200, scale=128, seed=0)),
         ("leslie3d", synthesize_trace("leslie3d", 800, scale=128, seed=1)),
@@ -55,6 +58,20 @@ def _quad_profess_driver(
     return SimulationDriver(
         config, "profess", traces, seed=0, mem_backend=mem_backend
     )
+
+
+def _quad_profess_sampled_driver(
+    mem_backend: Optional[str] = None,
+) -> "SimulationDriver":
+    """``quad_profess`` with RSM sampling every 256 served requests.
+
+    The default scaled sampling period is longer than the golden traces,
+    so the other scenarios never reach an RSM sampling boundary.  This
+    one samples every program several times, which puts RSM's slowdown
+    factors (the result's ``rsm_history``) and the Table 7 decisions
+    they drive under the byte-identical contract.
+    """
+    return _quad_profess_driver(mem_backend, m_samp=256)
 
 
 def _quad_composed_driver(
@@ -91,6 +108,7 @@ GOLDEN_SCENARIOS: Dict[
 ] = {
     "single_pom": _single_pom_driver,
     "quad_profess": _quad_profess_driver,
+    "quad_profess_sampled": _quad_profess_sampled_driver,
     "quad_composed": _quad_composed_driver,
 }
 

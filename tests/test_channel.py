@@ -1,5 +1,5 @@
-"""Channel timing-model tests: row hits/misses, write recovery, idle
-close, bus serialization, swap blocking.
+"""Channel timing-model tests: FR-FCFS-Cap selection, row hits/misses,
+write recovery, idle close, bus serialization, swap blocking.
 
 Every test class runs on the python backend; its ``...Compiled`` twin at
 the bottom of the file runs the same tests on the compiled channel core.
@@ -19,14 +19,16 @@ M1 = MemTimings.dram()
 M2 = MemTimings.nvm_from_dram()
 
 
-def make_channel(idle_close=0, swap_latency=2548, energy=None, backend="python"):
+def make_channel(
+    idle_close=0, swap_latency=2548, energy=None, backend="python", cap=4
+):
     events = EventQueue()
     channel = Channel(
         events=events,
         m1_timings=M1,
         m2_timings=M2,
         banks_per_rank=16,
-        frfcfs_cap=4,
+        frfcfs_cap=cap,
         energy=energy,
         swap_latency=swap_latency,
         row_idle_close=idle_close,
@@ -61,6 +63,62 @@ def run_one(events, channel, request):
     events.run()
     assert len(done) == 1
     return done[0]
+
+
+def issue_order(events, channel, rows):
+    """Queue one M1 bank-0 read per row at once; return their indices in
+    completion order.  Reads to one bank complete in the order the
+    scheduler issued them, so this is the FR-FCFS-Cap selection order."""
+    done = []
+    for index, row in enumerate(rows):
+        channel.enqueue(
+            read(Module.M1, 0, row, lambda c, index=index: done.append(index))
+        )
+    events.run()
+    return done
+
+
+class TestScheduling(ChannelCase):
+    def test_prefers_row_hit_over_older_miss(self):
+        events, channel = self.make_channel()
+        run_one(events, channel, read(Module.M1, 0, 2, None))
+        assert issue_order(events, channel, [1, 2]) == [1, 0]
+
+    def test_oldest_when_no_hits(self):
+        events, channel = self.make_channel()
+        run_one(events, channel, read(Module.M1, 0, 0, None))
+        assert issue_order(events, channel, [1, 2]) == [0, 1]
+
+    def test_oldest_hit_chosen_first(self):
+        events, channel = self.make_channel()
+        run_one(events, channel, read(Module.M1, 0, 9, None))
+        assert issue_order(events, channel, [5, 9, 9]) == [1, 2, 0]
+
+    def test_cap_limits_consecutive_hits(self):
+        # Two hits allowed, then the oldest request (a miss) must issue;
+        # it opens row 1, so the last row-9 read is a miss too.
+        events, channel = self.make_channel(cap=2)
+        run_one(events, channel, read(Module.M1, 0, 9, None))  # cold miss
+        assert issue_order(events, channel, [1, 9, 9, 9]) == [1, 2, 0, 3]
+
+    def test_miss_resets_streak(self):
+        # After the capped-out miss (row 1) the row-1 hit may again pass
+        # the older row-9 miss.
+        events, channel = self.make_channel(cap=2)
+        run_one(events, channel, read(Module.M1, 0, 9, None))
+        order = issue_order(events, channel, [1, 9, 9, 9, 1])
+        assert order == [1, 2, 0, 4, 3]
+
+    def test_swap_resets_streak(self):
+        events, channel = self.make_channel(cap=1)
+        run_one(events, channel, read(Module.M1, 0, 9, None))  # miss
+        run_one(events, channel, read(Module.M1, 0, 9, None))  # hit: capped
+        channel.schedule_swap(0, 9, 0, 0)  # row 9 stays open on M1 bank 0
+        assert issue_order(events, channel, [5, 9]) == [1, 0]
+
+    def test_rejects_bad_cap(self):
+        with pytest.raises(ValueError):
+            self.make_channel(cap=0)
 
 
 class TestSingleRequestLatency(ChannelCase):
@@ -356,6 +414,11 @@ class TestWriteQueue(ChannelCase):
 needs_compiled = pytest.mark.skipif(
     not compiled_available(), reason="compiled channel core unavailable"
 )
+
+
+@needs_compiled
+class TestSchedulingCompiled(TestScheduling):
+    backend = "compiled"
 
 
 @needs_compiled

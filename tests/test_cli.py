@@ -37,14 +37,16 @@ class TestParser:
         assert str(args.cache_dir) == "c"
 
     @pytest.mark.parametrize(
-        "flag, value",
+        "command, flag, value",
         [
-            ("--jobs", "0"),
-            ("--jobs", "-3"),
-            ("--requests", "0"),
-            ("--single-requests", "0"),
-            ("--single-requests", "-5"),
-            ("--validate-every", "-1"),
+            (["run", "fig5"], "--jobs", "0"),
+            (["run", "fig5"], "--jobs", "-3"),
+            (["run", "fig5"], "--requests", "0"),
+            (["run", "fig5"], "--single-requests", "0"),
+            (["run", "fig5"], "--single-requests", "-5"),
+            (["run", "fig5"], "--validate-every", "-1"),
+            (["trace", "zeusmp", "t.npz"], "--scale", "0"),
+            (["characterize", "zeusmp"], "--scale", "0"),
         ],
         ids=[
             "0",
@@ -53,13 +55,15 @@ class TestParser:
             "single-requests-0",
             "single-requests--5",
             "validate-every--1",
+            "trace-scale-0",
+            "characterize-scale-0",
         ],
     )
-    def test_rejects_nonpositive_jobs(self, flag, value, capsys):
-        # Worker and request counts share one positive-count check; the
-        # audit interval may be 0 (off) but never negative.
+    def test_rejects_nonpositive_jobs(self, command, flag, value, capsys):
+        # Worker, request and trace-scale counts share one positive-count
+        # check; the audit interval may be 0 (off) but never negative.
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["run", "fig5", flag, value])
+            build_parser().parse_args(command + [flag, value])
         assert excinfo.value.code == 2
         bound = ">= 0" if flag == "--validate-every" else ">= 1"
         err = capsys.readouterr().err
@@ -79,6 +83,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_perf_subcommand_is_gone(self, capsys):
+        # perfbench/run.py is the repository's one benchmark harness.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["perf", "--quick"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'perf'" in capsys.readouterr().err
+
 
 class TestMain:
     def test_list_exits_zero(self, capsys):
@@ -88,19 +99,46 @@ class TestMain:
         assert "table4" in out
 
     @pytest.mark.parametrize(
-        "experiment, scale, message",
-        [("fig99", "128", "fig99"), ("fig5", "3", "power of two")],
-        ids=["unknown-experiment", "scale-3"],
+        "argv, message",
+        [
+            (["run", "fig99", "--scale", "128"], "fig99"),
+            (["run", "fig5", "--scale", "3"], "power of two"),
+            (["report", "--output", "{missing}/x.md"], "does not exist"),
+            (["golden", "--out", "{missing}/digest.json"], "does not exist"),
+            (["trace", "zeusmp", "{missing}/t.npz"], "does not exist"),
+            (["trace", "zeusmp", "{tmp}"], "is a directory"),
+            (["run", "table1", "--out", "{file}"], "is not a directory"),
+            (["report", "--store", "{file}"], "is not a directory"),
+        ],
+        ids=[
+            "unknown-experiment",
+            "scale-3",
+            "report-output-missing-dir",
+            "golden-out-missing-dir",
+            "trace-output-missing-dir",
+            "trace-output-is-dir",
+            "run-out-is-file",
+            "report-store-is-file",
+        ],
     )
-    def test_bad_request_exits_two(self, experiment, scale, message, capsys):
-        # Bad input is one line on stderr and exit 2, never a traceback.
-        code = main(
-            ["run", experiment, "--scale", scale, "--requests", "500",
-             "--single-requests", "500"]
-        )
+    def test_bad_request_exits_two(self, argv, message, tmp_path, capsys):
+        # Bad input is one line on stderr and exit 2, never a traceback;
+        # output paths are checked before anything is simulated.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [
+            arg.format(missing=tmp_path / "missing", tmp=tmp_path, file=blocker)
+            for arg in argv
+        ]
+        if argv[0] == "run":
+            argv += ["--requests", "500", "--single-requests", "500"]
+        try:
+            code = main(argv)
+        except SystemExit as exit_:
+            code = exit_.code
         assert code == 2
         err = capsys.readouterr().err
-        assert message in err
+        assert message in err and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_unknown_id_in_list_aborts_before_running(self, tmp_path, capsys):
@@ -196,28 +234,6 @@ class TestGoldenCommand:
         assert "GOLDEN MISMATCH" in capsys.readouterr().err
 
 
-class TestPerfSummaryFlag:
-    def test_summary_appends_markdown_table(self, tmp_path, capsys):
-        summary = tmp_path / "summary.md"
-        summary.write_text("# existing\n")
-        code = main(
-            [
-                "perf",
-                "--quick",
-                "--repeats",
-                "1",
-                "--out",
-                str(tmp_path / "bench.json"),
-                "--summary",
-                str(summary),
-            ]
-        )
-        assert code == 0
-        text = summary.read_text()
-        assert text.startswith("# existing\n")
-        assert "| single |" in text and "| multi |" in text
-
-
 class TestCacheCommand:
     def _populate(self, tmp_path):
         cache_dir = tmp_path / "cache"
@@ -261,64 +277,6 @@ class TestCacheCommand:
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(["cache"])
         assert excinfo.value.code == 2
-
-
-class TestPerfSweep:
-    def test_parse_defaults(self):
-        args = build_parser().parse_args(["perf", "--sweep"])
-        assert args.sweep
-        assert args.sweep_specs == 200
-        assert args.jobs == 1
-        assert args.max_rss_ratio == pytest.approx(1.4)
-        assert args.out is None
-
-    def test_sweep_runs_and_gates_against_itself(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_sweep.json"
-        summary = tmp_path / "summary.md"
-        code = main(
-            ["perf", "--sweep", "--sweep-specs", "6",
-             "--out", str(out), "--summary", str(summary)]
-        )
-        assert code == 0
-        import json
-
-        payload = json.loads(out.read_text())
-        assert payload["spec_count"] == 6
-        assert payload["completed"] == 6
-        assert payload["failed"] == 0
-        assert payload["requests_per_sec"] > 0
-        assert "peak_rss_mb" in payload
-        assert "| requests/sec |" in summary.read_text()
-        capsys.readouterr()
-        # Gate a second run against a baseline recorded per the
-        # documented recipe (throughput halved, RSS headroom added) —
-        # gating against the raw first measurement is timing-noise
-        # flaky when the suite runs on a loaded machine.
-        baseline = dict(payload)
-        baseline["requests_per_sec"] = payload["requests_per_sec"] / 2
-        baseline["peak_rss_mb"] = payload["peak_rss_mb"] * 1.3
-        recorded = tmp_path / "baseline.json"
-        recorded.write_text(json.dumps(baseline))
-        code = main(
-            ["perf", "--sweep", "--sweep-specs", "6",
-             "--out", str(tmp_path / "b2.json"),
-             "--baseline", str(recorded)]
-        )
-        assert code == 0
-        assert "within" in capsys.readouterr().out
-
-    def test_sweep_size_mismatch_fails(self, tmp_path, capsys):
-        out = tmp_path / "BENCH_sweep.json"
-        assert main(
-            ["perf", "--sweep", "--sweep-specs", "4", "--out", str(out)]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            ["perf", "--sweep", "--sweep-specs", "6",
-             "--out", str(tmp_path / "b2.json"), "--baseline", str(out)]
-        )
-        assert code == 1
-        assert "sweep size mismatch" in capsys.readouterr().err
 
 
 class TestTraceCommands:

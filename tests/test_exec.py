@@ -322,6 +322,26 @@ class TestExecutor:
         assert digests == expected
         assert executor.executed == len(specs)
 
+    def test_pool_forks_no_more_workers_than_specs(self, monkeypatch):
+        # A pool forks every worker at the first submit, so a 3-spec
+        # wave at jobs=8 must ask for 3, not 8.
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.exec import executor as executor_module
+
+        requested = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                requested.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
+        specs = self._specs()[:3]
+        results = Executor(jobs=8).run_many(specs)
+        assert requested == [3]
+        assert [r.policy for r in results] == ["pom", "mdm", "pom"]
+
     def test_events_reported(self, tmp_path):
         events = []
         cache = ResultCache(tmp_path)

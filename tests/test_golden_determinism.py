@@ -58,6 +58,27 @@ def test_check_against_blobs_reports_missing_and_differing(tmp_path):
     assert "differs" in problems["single_pom"]
 
 
+def test_sampled_scenario_crosses_rsm_sampling_boundaries(monkeypatch):
+    # quad_profess_sampled is the scenario that puts RSM's slowdown
+    # factors under the byte contract: it must sample every program, and
+    # its samples must reach the serialized result.
+    from repro.core.rsm import RSM
+
+    sampled = []
+    original = RSM._sample
+
+    def counting(self, program):
+        sampled.append(program)
+        original(self, program)
+
+    monkeypatch.setattr(RSM, "_sample", counting)
+    result = json.loads(golden_text("quad_profess_sampled"))
+    assert set(sampled) == {0, 1, 2, 3}
+    assert len(result["extra"]["rsm_history"]) == len(sampled)
+    unsampled = json.loads((GOLDEN_DIR / "quad_profess.json").read_text())
+    assert unsampled["extra"]["rsm_history"] == []
+
+
 def test_golden_digests_cover_every_scenario_and_are_stable():
     first = golden_digests()
     assert set(first) == set(GOLDEN_SCENARIOS)

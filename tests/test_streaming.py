@@ -15,7 +15,7 @@ whole wave and reducing it afterwards would have produced.
   cell for cell with per-cell ``workload_metrics`` on a fresh runner,
   then that the runner's metrics memo makes re-sweeps free;
 * a streamed wave keeps no result in the parent and folds every key
-  exactly once (the memory property the sweep-scale RSS gate guards).
+  exactly once (the parent's memory stays flat however wide the wave).
 """
 
 from collections import Counter
@@ -24,15 +24,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.config import paper_single_core
 from repro.exec import Executor, ResultCache
 from repro.exec import executor as executor_module
 from repro.exec.resilience import RunFailure
+from repro.exec.spec import RunSpec
 from repro.exec.streaming import GroupReducer, ListReducer
 from repro.experiments.multi import sweep
 from repro.experiments.runner import ExperimentRunner
-from repro.perf.sweep_bench import build_sweep_specs
 
 KEYS = [f"{c}" * 64 for c in "abcdefgh"]
+
+SWEEP_PROGRAMS = ("zeusmp", "leslie3d", "mcf", "libquantum", "lbm", "omnetpp")
+
+
+def build_sweep_specs(count: int) -> list[RunSpec]:
+    """``count`` small single-core specs with distinct cache keys.
+
+    Programs cycle, policies alternate, and the seed advances once per
+    program cycle, so nothing deduplicates away.
+    """
+    config = paper_single_core(scale=128)
+    return [
+        RunSpec(
+            kind="single",
+            programs=(SWEEP_PROGRAMS[index % len(SWEEP_PROGRAMS)],),
+            policy=("pom", "mdm")[index % 2],
+            config=config,
+            requests=300,
+            seed=index // len(SWEEP_PROGRAMS),
+            trace_scale=128,
+        )
+        for index in range(count)
+    ]
 
 
 def failure_for(key: str) -> RunFailure:
@@ -256,9 +280,8 @@ class CountingFolds:
 class TestWaveRetention:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_reducer_wave_keeps_no_result(self, jobs, tmp_path, monkeypatch):
-        # The deterministic form of the sweep-scale RSS ceiling: a wave
-        # that re-materialized its results in the parent would fill the
-        # sink's by_key or the WaveResult, whatever its RSS did.
+        # A wave that re-materialized its results in the parent would
+        # fill the sink's by_key or the WaveResult, whatever its RSS did.
         sinks = []
 
         class RecordingSink(executor_module._WaveSink):
