@@ -323,11 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_parser = subparsers.add_parser(
         "lint",
-        help="run the repro static-analysis pass (determinism/hot-path/"
-        "contract rules)",
-        description="AST-based project lint (DESIGN.md Sec. 11): D-rules "
-        "protect golden determinism, H-rules protect the kernel fast "
-        "path via the hot-path manifest, C-rules enforce API contracts. "
+        help="run the repro static-analysis pass (hot-path/contract rules)",
+        description="AST-based project lint (DESIGN.md Sec. 11): H-rules "
+        "protect the kernel fast path via the hot-path manifest, C-rules "
+        "enforce API contracts. "
         "Exit 0 when clean, 1 when findings remain, 2 on usage errors.",
     )
     lint_parser.add_argument(
@@ -337,26 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: the repro package)",
     )
     lint_parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="output format (json is one object with a findings array; "
-        "sarif is a SARIF 2.1.0 log for GitHub code scanning)",
-    )
-    lint_parser.add_argument(
         "--select",
         default=None,
-        help="comma-separated rule ids/prefixes to enable (e.g. D,H201)",
+        help="comma-separated rule ids/prefixes to enable (e.g. C,H201)",
     )
     lint_parser.add_argument(
         "--ignore",
         default=None,
         help="comma-separated rule ids/prefixes to disable",
-    )
-    lint_parser.add_argument(
-        "--changed",
-        action="store_true",
-        help="lint only files changed vs HEAD (pre-commit mode)",
     )
     lint_parser.add_argument(
         "--exclude",
@@ -366,12 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="file or directory subtree to skip (repeatable; used to "
         "keep deliberately-broken lint fixtures out of a tests/ sweep)",
-    )
-    lint_parser.add_argument(
-        "--show-unused-noqa",
-        action="store_true",
-        help="also report `# repro: noqa` comments that no longer match "
-        "any finding (rule W001)",
     )
     lint_parser.add_argument(
         "--list-rules",
@@ -581,9 +562,7 @@ def _golden(args: argparse.Namespace) -> int:
 
 
 def _lint(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.lint import RULES, LintError, lint_paths, render_sarif
+    from repro.lint import RULES, LintError, lint_paths
 
     if args.list_rules:
         width = max(len(rule) for rule in RULES)
@@ -593,39 +572,21 @@ def _lint(args: argparse.Namespace) -> int:
     paths = args.paths or [Path(__file__).parent]
     try:
         findings = lint_paths(
-            paths,
-            select=args.select,
-            ignore=args.ignore,
-            changed_only=args.changed,
-            exclude=args.exclude,
-            show_unused_noqa=args.show_unused_noqa,
+            paths, select=args.select, ignore=args.ignore, exclude=args.exclude
         )
     except LintError as error:
         print(f"lint: {error}", file=sys.stderr)
         return 2
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "findings": [f.to_dict() for f in findings],
-                    "count": len(findings),
-                },
-                indent=2,
-            )
-        )
-    elif args.format == "sarif":
-        print(json.dumps(render_sarif(findings), indent=2))
-    else:
+    for finding in findings:
+        print(finding.render())
+    if findings:
+        counts: dict[str, int] = {}
         for finding in findings:
-            print(finding.render_trace())
-        if findings:
-            counts: dict[str, int] = {}
-            for finding in findings:
-                counts[finding.rule] = counts.get(finding.rule, 0) + 1
-            summary = ", ".join(
-                f"{rule} x{count}" for rule, count in sorted(counts.items())
-            )
-            print(f"{len(findings)} finding(s): {summary}", file=sys.stderr)
+            counts[finding.rule] = counts.get(finding.rule, 0) + 1
+        summary = ", ".join(
+            f"{rule} x{count}" for rule, count in sorted(counts.items())
+        )
+        print(f"{len(findings)} finding(s): {summary}", file=sys.stderr)
     return 1 if findings else 0
 
 

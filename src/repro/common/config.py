@@ -482,13 +482,15 @@ class SystemConfig:
     mem_backend: str = "auto"
 
     #: Reviewed record of every field :meth:`cache_token` excludes from
-    #: the content hash (enforced by lint rule K401; stale entries are
-    #: K402).  An entry asserts the field cannot change simulation
-    #: results: ``axes`` is omitted only while it holds inherit-defaults
-    #: (any real value re-enters the digest), and ``mem_backend`` selects
-    #: between byte-identical kernels (CI backend-parity job).  Amending
-    #: this tuple is a reviewed decision — see DESIGN.md §16.
-    _CACHE_NEUTRAL_FIELDS = ("axes", "mem_backend")
+    #: the content hash; ``tests/test_cache_keys.py`` fails when any other
+    #: field leaves the token unchanged, or when an entry here changes it.
+    #: An entry asserts the field cannot change simulation results:
+    #: ``mem_backend`` selects between byte-identical kernels (CI
+    #: backend-parity job).  ``axes`` is not listed: it is omitted only
+    #: while it holds inherit-defaults, and any real value re-enters the
+    #: digest.  Amending this tuple is a reviewed decision — see
+    #: DESIGN.md §16.
+    _CACHE_NEUTRAL_FIELDS = ("mem_backend",)
 
     def __post_init__(self) -> None:
         if self.num_cores < 1:

@@ -56,8 +56,8 @@ class RunSpec:
     validate_every: int = 0
 
     #: Reviewed record of every field :meth:`cache_key` excludes from the
-    #: content hash (lint rule K401 enforces it; K402 flags stale
-    #: entries).  ``validate_every`` only toggles in-run invariant
+    #: content hash (``tests/test_cache_keys.py`` checks it in both
+    #: directions).  ``validate_every`` only toggles in-run invariant
     #: auditing — a validated result is byte-identical to an unvalidated
     #: one — so serving either from cache is sound.  See DESIGN.md §16.
     _CACHE_NEUTRAL_FIELDS = ("validate_every",)

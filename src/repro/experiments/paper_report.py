@@ -76,6 +76,11 @@ def _fig8_shape(result: ExperimentResult) -> bool:
     )
 
 
+def _fig9_shape(result: ExperimentResult) -> bool:
+    """Hit rate non-decreasing across half/default/double STC, every row."""
+    return all(row[1] <= row[2] <= row[3] for row in result.rows)
+
+
 def _fig16_shape(result: ExperimentResult) -> bool:
     """Every workload's max slowdown is lower under ProFess than PoM, and
     some lighter program (not its workload's PoM maximum) pays for it by
@@ -152,6 +157,7 @@ EXPECTATIONS: dict[str, PaperExpectation] = {
     "fig9": PaperExpectation(
         "hit rates grow with STC size",
         lambda r: str(r.summary.get("programs with monotone hit rate", "")),
+        _fig9_shape,
     ),
     "sens-twr": PaperExpectation(
         "MDM advantage: 12% (0.5x tWR) / 14% (1x) / 18% (2x)",
@@ -176,6 +182,7 @@ EXPECTATIONS: dict[str, PaperExpectation] = {
     "fig12": PaperExpectation(
         "MDM energy efficiency vs PoM: +7% avg (up to +26%, w18)",
         _geomean_improvement(True),
+        _shape_gmean(True),
     ),
     "fig13": PaperExpectation(
         "ProFess max slowdown vs PoM: -15% avg (up to -29%, w12)",

@@ -505,8 +505,8 @@ class HybridMemoryController:
             # Swaps in private regions are not counted (Section 3.1.2).
             self.rsm.on_swap(owner_promoted, owner_demoted)
         # Explicit pair instead of iterating a {a, b} set literal: with a
-        # None member, set order is address-dependent (D104), and dedup
-        # must not rely on hashing.
+        # None member, set order is address-dependent, and dedup must not
+        # rely on hashing.
         if owner_promoted is not None:
             self.core_stats[owner_promoted].swaps_involving += 1
         if owner_demoted is not None and owner_demoted != owner_promoted:

@@ -2,9 +2,8 @@
 
 The engine owns everything that is not a rule: file discovery, module
 naming, the two-pass project index (class/base/slots/exception
-information that rules resolve across files), ``# repro: noqa``
-suppression handling, and finding selection.  The rules themselves live
-in :mod:`repro.lint.rules`.
+information that rules resolve across files), and finding selection.
+The rules themselves live in :mod:`repro.lint.rules`.
 
 Entry points:
 
@@ -16,20 +15,12 @@ Entry points:
 from __future__ import annotations
 
 import ast
-import io
-import re
-import subprocess
-import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.common.errors import ReproError
-from repro.lint.hotpath import (
-    HOT_BATCH_FUNCTIONS,
-    HOT_CLASSES,
-    HOT_FUNCTIONS,
-)
+from repro.lint.hotpath import HOT_CLASSES, HOT_FUNCTIONS
 
 
 class LintError(ReproError):
@@ -37,59 +28,18 @@ class LintError(ReproError):
 
 
 @dataclass(frozen=True, slots=True)
-class TraceStep:
-    """One hop of a finding's evidence chain (e.g. declaration → read)."""
-
-    path: str
-    line: int
-    note: str
-
-
-@dataclass(frozen=True, slots=True)
 class Finding:
-    """One rule violation at one source location.
-
-    ``end_line`` is the last line of the offending statement (0 when
-    unknown); a ``# repro: noqa`` anywhere on the statement's lines
-    suppresses the finding, so multi-line statements can carry the
-    comment on any of their physical lines.  ``trace`` carries the
-    evidence chain of the whole-project cache-key rules (K4xx).
-    """
+    """One rule violation at one source location."""
 
     rule: str
     path: str
     line: int
     col: int
     message: str
-    end_line: int = 0
-    trace: tuple[TraceStep, ...] = ()
 
     def render(self) -> str:
         """The one-line human-readable form."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def render_trace(self) -> str:
-        """The multi-line form: the finding plus its evidence chain."""
-        lines = [self.render()]
-        for step in self.trace:
-            lines.append(f"    {step.path}:{step.line}: {step.note}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, object]:
-        """The machine-readable (``--format=json``) form."""
-        payload: dict[str, object] = {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-        if self.trace:
-            payload["trace"] = [
-                {"path": s.path, "line": s.line, "note": s.note}
-                for s in self.trace
-            ]
-        return payload
 
 
 @dataclass(slots=True)
@@ -98,7 +48,6 @@ class ClassInfo:
 
     module: str
     qualname: str
-    lineno: int
     #: Base-class expressions resolved to dotted names where possible.
     bases: tuple[str, ...]
     #: Explicit ``__slots__`` names, or dataclass field names under
@@ -108,13 +57,6 @@ class ClassInfo:
     #: a slots dataclass); False when ``__slots__`` exists but could not
     #: be parsed statically.
     slots_exact: bool
-    #: Dataclass-style annotated fields: name -> resolved annotation
-    #: dotted name (None when the annotation is not a plain name chain).
-    #: Empty for classes with no annotated assignments.
-    fields: dict[str, Optional[str]] = field(default_factory=dict)
-    #: The class definition node (for whole-project passes that need to
-    #: inspect method bodies, e.g. the K4xx cache-key analysis).
-    node: Optional[ast.ClassDef] = None
 
     @property
     def qualified(self) -> str:
@@ -128,15 +70,11 @@ class ModuleInfo:
     module: str
     path: str
     tree: ast.Module
-    source: str
     #: Local name -> dotted target for every import in the module.
     imports: dict[str, str] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     #: Qualified names of every function/method defined in the module.
     functions: set[str] = field(default_factory=set)
-    #: Qualified name -> definition node for every function/method (what
-    #: the K403 reachability walk follows).
-    function_nodes: dict[str, ast.FunctionDef] = field(default_factory=dict)
 
 
 class ProjectIndex:
@@ -207,7 +145,7 @@ class ProjectIndex:
 
 
 # ----------------------------------------------------------------------
-# Source scanning: imports, classes, suppressions
+# Source scanning: imports and classes
 # ----------------------------------------------------------------------
 def _dotted(node: ast.expr) -> Optional[str]:
     """``a.b.c`` as a string for Name/Attribute chains, else None."""
@@ -300,40 +238,6 @@ def _dataclass_field_names(node: ast.ClassDef) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _annotated_fields(
-    node: ast.ClassDef, module: ModuleInfo
-) -> dict[str, Optional[str]]:
-    """Annotated class-body assignments: name -> resolved annotation.
-
-    ``ClassVar`` annotations are skipped — they are class constants, not
-    dataclass fields, so the K4xx field walk must not count them.
-    """
-    fields: dict[str, Optional[str]] = {}
-    for statement in node.body:
-        if not (
-            isinstance(statement, ast.AnnAssign)
-            and isinstance(statement.target, ast.Name)
-        ):
-            continue
-        annotation = statement.annotation
-        dotted = _dotted(annotation)
-        if dotted is not None and dotted.rsplit(".", 1)[-1] == "ClassVar":
-            continue
-        if (
-            isinstance(annotation, ast.Subscript)
-            and (_dotted(annotation.value) or "").rsplit(".", 1)[-1]
-            == "ClassVar"
-        ):
-            continue
-        resolved = (
-            resolve_dotted(module, annotation)
-            if isinstance(annotation, (ast.Name, ast.Attribute))
-            else None
-        )
-        fields[statement.target.id] = resolved
-    return fields
-
-
 def _collect_classes(module: ModuleInfo) -> None:
     """Record every class (and function qualname) defined in the module."""
 
@@ -370,19 +274,13 @@ def _collect_classes(module: ModuleInfo) -> None:
                 module.classes[qualname] = ClassInfo(
                     module=module.module,
                     qualname=qualname,
-                    lineno=node.lineno,
                     bases=tuple(bases),
                     slots=slots,
                     slots_exact=exact,
-                    fields=_annotated_fields(node, module),
-                    node=node,
                 )
                 visit(node.body, f"{qualname}.")
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualified = f"{module.module}.{prefix}{node.name}"
-                module.functions.add(qualified)
-                if isinstance(node, ast.FunctionDef):
-                    module.function_nodes[qualified] = node
+                module.functions.add(f"{module.module}.{prefix}{node.name}")
                 visit(node.body, f"{prefix}{node.name}.")
 
     visit(module.tree.body, "")
@@ -393,121 +291,6 @@ def _collect_classes(module: ModuleInfo) -> None:
             f"{module.module}.{base}" if base in local else base
             for base in cls.bases
         )
-
-
-_NOQA_LINE = re.compile(
-    r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Za-z0-9_,\s]+)\])?"
-)
-_NOQA_FILE = re.compile(
-    r"#\s*repro:\s*noqa-file\[(?P<rules>[A-Za-z0-9_,\s]+)\]"
-)
-
-
-@dataclass(slots=True)
-class Suppressions:
-    """Parsed ``# repro: noqa`` state for one file.
-
-    ``suppressed`` records which comments actually matched a finding, so
-    the engine can report stale suppressions afterwards (rule W001,
-    ``--show-unused-noqa``).
-    """
-
-    #: line -> None (blanket) or set of rule ids.
-    lines: dict[int, Optional[frozenset[str]]]
-    #: Rule id suppressed for the whole file -> lineno of its comment.
-    file_rules: dict[str, int]
-    #: Keys of comments that matched at least one finding: line numbers
-    #: for line comments, ``("file", rule)`` for file-level ones.
-    used: set[object] = field(default_factory=set)
-
-    def suppressed(self, finding: Finding) -> bool:
-        if finding.rule in self.file_rules:
-            self.used.add(("file", finding.rule))
-            return True
-        last = max(finding.line, finding.end_line or 0)
-        for lineno in range(finding.line, last + 1):
-            rules = self.lines.get(lineno, _NO_ENTRY)
-            if rules is _NO_ENTRY:
-                continue
-            if rules is None or finding.rule in rules:  # type: ignore[operator]
-                self.used.add(lineno)
-                return True
-        return False
-
-    def unused(self) -> list[tuple[int, str]]:
-        """``(lineno, description)`` for comments that matched nothing."""
-        stale: list[tuple[int, str]] = []
-        for lineno in self.lines:
-            if lineno in self.used:
-                continue
-            rules = self.lines[lineno]
-            description = (
-                "blanket `# repro: noqa`"
-                if rules is None
-                else f"`# repro: noqa[{','.join(sorted(rules))}]`"
-            )
-            stale.append((lineno, description))
-        for rule, lineno in self.file_rules.items():
-            if ("file", rule) not in self.used:
-                stale.append((lineno, f"`# repro: noqa-file[{rule}]`"))
-        stale.sort()
-        return stale
-
-
-#: Sentinel distinguishing "no noqa on this line" from a blanket (None).
-_NO_ENTRY: object = object()
-
-
-def _comment_lines(source: str) -> list[tuple[int, str]]:
-    """``(lineno, comment_text)`` for every real comment token.
-
-    Tokenizing (rather than regex-scanning raw lines) keeps the marker
-    inert inside string literals and docstrings — documentation *about*
-    ``# repro: noqa`` must neither suppress anything nor show up as a
-    stale suppression under W001.
-    """
-    try:
-        return [
-            (token.start[0], token.string)
-            for token in tokenize.generate_tokens(io.StringIO(source).readline)
-            if token.type == tokenize.COMMENT
-        ]
-    except (tokenize.TokenError, SyntaxError, IndentationError, ValueError):
-        # Unparseable file (E999 territory): fall back to raw lines so a
-        # noqa near the damage still behaves predictably.
-        return [
-            (lineno, text)
-            for lineno, text in enumerate(source.splitlines(), start=1)
-            if "#" in text
-        ]
-
-
-def parse_suppressions(source: str) -> Suppressions:
-    """Scan a file's comments for line and file-level suppressions."""
-    lines: dict[int, Optional[frozenset[str]]] = {}
-    file_rules: dict[str, int] = {}
-    for lineno, text in _comment_lines(source):
-        file_match = _NOQA_FILE.search(text)
-        if file_match is not None:
-            for rule in file_match.group("rules").split(","):
-                if rule.strip():
-                    file_rules.setdefault(rule.strip(), lineno)
-            continue
-        match = _NOQA_LINE.search(text)
-        if match is None:
-            continue
-        raw = match.group("rules")
-        if raw is None:
-            lines[lineno] = None
-        else:
-            rules = frozenset(r.strip() for r in raw.split(",") if r.strip())
-            previous = lines.get(lineno)
-            if previous is None and lineno in lines:
-                continue  # blanket already recorded
-            lines[lineno] = (
-                rules if previous is None else frozenset(previous | rules)
-            )
-    return Suppressions(lines=lines, file_rules=file_rules)
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +318,7 @@ def rule_selected(
     select: Optional[tuple[str, ...]],
     ignore: Optional[tuple[str, ...]],
 ) -> bool:
-    """ruff-style prefix selection: ``--select D --ignore D104``."""
+    """ruff-style prefix selection: ``--select C --ignore C305``."""
     if select is not None and not any(rule.startswith(s) for s in select):
         return False
     if ignore is not None and any(rule.startswith(s) for s in ignore):
@@ -586,41 +369,14 @@ def _prune(files: Sequence[Path], exclude: Sequence[Path]) -> list[Path]:
     ]
 
 
-def changed_files(paths: Sequence[Path]) -> list[Path]:
-    """``.py`` files changed vs HEAD (staged, unstaged, and untracked).
-
-    Used by ``profess lint --changed`` (the pre-commit hook); returns
-    the intersection with the requested ``paths``.
-    """
-    try:
-        output = subprocess.run(
-            # -uall: list files inside untracked directories (the default
-            # collapses them to "pkg/", which hides the .py files).
-            ["git", "status", "--porcelain", "--untracked-files=all"],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-    except (OSError, subprocess.CalledProcessError) as error:
-        raise LintError(f"--changed requires a git checkout: {error}") from error
-    candidates: list[Path] = []
-    for line in output.splitlines():
-        if len(line) < 4 or line[:2] == "D " or line[:2] == " D":
-            continue
-        name = line[3:].split(" -> ")[-1].strip().strip('"')
-        if name.endswith(".py"):
-            candidates.append(Path(name))
-    scope = {file.resolve() for file in discover_files(paths)}
-    return sorted(c for c in candidates if c.resolve() in scope)
-
-
 # ----------------------------------------------------------------------
 # Orchestration
 # ----------------------------------------------------------------------
 def _build_module(module: str, path: str, source: str) -> ModuleInfo:
-    tree = ast.parse(source, filename=path)
-    info = ModuleInfo(module=module, path=path, tree=tree, source=source)
-    info.imports = _collect_imports(tree)
+    info = ModuleInfo(
+        module=module, path=path, tree=ast.parse(source, filename=path)
+    )
+    info.imports = _collect_imports(info.tree)
     _collect_classes(info)
     return info
 
@@ -631,20 +387,14 @@ def lint_sources(
     ignore: Optional[str] = None,
     hot_classes: Optional[frozenset[str]] = None,
     hot_functions: Optional[frozenset[str]] = None,
-    batch_functions: Optional[frozenset[str]] = None,
-    show_unused_noqa: bool = False,
 ) -> list[Finding]:
     """Lint in-memory sources: ``{module: (display_path, source)}``."""
-    from repro.lint.keys import check_keys
     from repro.lint.rules import check_manifest, check_module
 
     select_rules = _parse_rule_list(select, "--select")
     ignore_rules = _parse_rule_list(ignore, "--ignore")
     hot_classes = HOT_CLASSES if hot_classes is None else hot_classes
     hot_functions = HOT_FUNCTIONS if hot_functions is None else hot_functions
-    batch_functions = (
-        HOT_BATCH_FUNCTIONS if batch_functions is None else batch_functions
-    )
 
     index = ProjectIndex()
     infos: list[ModuleInfo] = []
@@ -666,44 +416,9 @@ def lint_sources(
         infos.append(info)
         index.add_module(info)
 
-    raw: list[Finding] = []
     for info in infos:
-        raw.extend(
-            check_module(
-                info, index, hot_classes, hot_functions, batch_functions
-            )
-        )
-    # Batch functions are (by construction) also hot functions, but the
-    # union keeps H200 honest for custom manifests where they diverge.
-    raw.extend(
-        check_manifest(index, hot_classes, hot_functions | batch_functions)
-    )
-    # Cache-key soundness (K4xx) needs the complete index.
-    raw.extend(check_keys(index))
-
-    # Apply suppressions uniformly, by finding path, then report stale
-    # comments (W001) — those never self-suppress.
-    suppressions = {info.path: parse_suppressions(info.source) for info in infos}
-    for finding in raw:
-        file_suppressions = suppressions.get(finding.path)
-        if file_suppressions is None or not file_suppressions.suppressed(
-            finding
-        ):
-            findings.append(finding)
-    if show_unused_noqa:
-        for info in infos:
-            for lineno, description in suppressions[info.path].unused():
-                findings.append(
-                    Finding(
-                        rule="W001",
-                        path=info.path,
-                        line=lineno,
-                        col=1,
-                        message=f"unused suppression {description}: no "
-                        "finding matches it any more; delete the comment",
-                    )
-                )
-
+        findings.extend(check_module(info, index, hot_classes, hot_functions))
+    findings.extend(check_manifest(index, hot_classes, hot_functions))
     findings = [
         f
         for f in findings
@@ -717,105 +432,14 @@ def lint_paths(
     paths: Sequence[Path],
     select: Optional[str] = None,
     ignore: Optional[str] = None,
-    changed_only: bool = False,
     exclude: Sequence[Path] = (),
-    show_unused_noqa: bool = False,
 ) -> list[Finding]:
     """Lint files or trees on disk; the ``profess lint`` entry point."""
-    files = _prune(
-        changed_files(paths) if changed_only else discover_files(paths),
-        exclude,
-    )
     sources: dict[str, tuple[str, str]] = {}
-    for file in files:
+    for file in _prune(discover_files(paths), exclude):
         module = module_name_for(file)
         # Duplicate module names (e.g. two loose scripts both named
         # conftest) get disambiguated by path so neither is dropped.
         key = module if module not in sources else f"{module}:{file}"
         sources[key] = (str(file), file.read_text(encoding="utf-8"))
-    return lint_sources(
-        sources,
-        select=select,
-        ignore=ignore,
-        show_unused_noqa=show_unused_noqa,
-    )
-
-
-# ----------------------------------------------------------------------
-# SARIF (GitHub code scanning) rendering
-# ----------------------------------------------------------------------
-_SARIF_SCHEMA = (
-    "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/"
-    "Schemata/sarif-schema-2.1.0.json"
-)
-
-
-def _sarif_location(path: str, line: int, col: int) -> dict[str, object]:
-    return {
-        "physicalLocation": {
-            "artifactLocation": {"uri": path},
-            "region": {"startLine": line, "startColumn": max(col, 1)},
-        }
-    }
-
-
-def render_sarif(findings: Sequence[Finding]) -> dict[str, object]:
-    """SARIF 2.1.0 payload for ``profess lint --format sarif``.
-
-    Finding traces render as SARIF code flows, so GitHub code scanning
-    shows the full evidence chain inline.
-    """
-    from repro.lint.rules import RULES
-
-    results: list[dict[str, object]] = []
-    for finding in findings:
-        result: dict[str, object] = {
-            "ruleId": finding.rule,
-            "level": "error",
-            "message": {"text": finding.message},
-            "locations": [
-                _sarif_location(finding.path, finding.line, finding.col)
-            ],
-        }
-        if finding.trace:
-            result["codeFlows"] = [
-                {
-                    "threadFlows": [
-                        {
-                            "locations": [
-                                {
-                                    "location": {
-                                        **_sarif_location(
-                                            step.path, step.line, 1
-                                        ),
-                                        "message": {"text": step.note},
-                                    }
-                                }
-                                for step in finding.trace
-                            ]
-                        }
-                    ]
-                }
-            ]
-        results.append(result)
-    return {
-        "version": "2.1.0",
-        "$schema": _SARIF_SCHEMA,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "profess-lint",
-                        "rules": [
-                            {
-                                "id": rule,
-                                "shortDescription": {"text": description},
-                            }
-                            for rule, description in sorted(RULES.items())
-                        ],
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
+    return lint_sources(sources, select=select, ignore=ignore)

@@ -1,24 +1,23 @@
 """The hot-path manifest: the perf contract behind DESIGN.md §10/§14.
 
-PR 2's kernel fast path assumes a specific set of structs stays *slim*
-(``__slots__``, fixed attribute sets) and a specific set of functions
-stays *pure* (no f-strings, logging, or try/except on the per-event
-path).  This module is the single place that contract is written down;
-the H-rules of :mod:`repro.lint` enforce it statically, and the
-repository benchmark (``perfbench/``, ``BENCHMARK.json``) measures what
-it buys end to end.
+The simulator's per-event path assumes a specific set of structs stays
+*slim* (``__slots__``, fixed attribute sets) and a specific set of
+functions stays *pure* (no f-strings, logging, or try/except on the
+per-event path).  This module is the single place that contract is
+written down; the H-rules of :mod:`repro.lint` enforce it statically,
+and the repository benchmark (``perfbench/``, ``BENCHMARK.json``)
+measures what it buys end to end.
+
+The manifest lists what the default (compiled) memory backend runs per
+event.  The ``--mem-backend python`` reference path (``RequestBatch``,
+``Channel._tick_python``/``enqueue_soa``/``enqueue``) is left off: no
+benchmark workload runs it, and its speed is not a contract.
 
 Adding a class here obliges it to declare ``__slots__`` (H201) and to
 create every instance attribute inside ``__init__`` (H202).  Adding a
 function here forbids introducing f-strings, logging/print calls, or
 try/except inside its body (H203; f-strings inside ``raise`` statements
 are exempt — the error path is allowed to format).
-
-The columnar memory kernel (DESIGN.md §14) adds a third obligation:
-functions in :data:`HOT_BATCH_FUNCTIONS` form the fused per-tick loop
-over the structure-of-arrays queues and must stay *allocation-free* —
-no container displays/constructors, comprehensions, lambdas, closures,
-``functools.partial``, or project-class construction per event (H204).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ HOT_CLASSES: frozenset[str] = frozenset(
         "repro.hybrid.st.SwapGroupTable",
         "repro.hybrid.st_entry.STEntry",
         "repro.mem.bank.Bank",
-        "repro.mem.batch.RequestBatch",
         "repro.mem.channel.Channel",
         "repro.mem.channel.ChannelStats",
         "repro.mem.channel.ModuleState",
@@ -63,26 +61,5 @@ HOT_FUNCTIONS: frozenset[str] = frozenset(
         "repro.cpu.core_model.TraceCore._refill",
         "repro.hybrid.memory.HybridMemoryController._serve",
         "repro.hybrid.memory.HybridMemoryController.access",
-        "repro.mem.batch.RequestBatch.push",
-        "repro.mem.batch.RequestBatch.pop_at",
-        "repro.mem.channel.Channel._tick_python",
-        "repro.mem.channel.Channel.enqueue",
-        "repro.mem.channel.Channel.enqueue_soa",
-    }
-)
-
-#: The fused batched tick loop: one call per scheduling decision over
-#: the SoA columns.  (The compiled backend's tick and enqueue live in
-#: ``repro/mem/_channel.c``, outside the lint's reach; ``_tick_kernel``
-#: is a one-line delegate to it.)  H204 bans per-request object allocation inside —
-#: container displays/constructors, comprehensions, lambdas, nested
-#: functions, ``functools.partial``, and project-class construction.
-#: (All of these are also H203 hot functions.)
-HOT_BATCH_FUNCTIONS: frozenset[str] = frozenset(
-    {
-        "repro.mem.batch.RequestBatch.pop_at",
-        "repro.mem.batch.RequestBatch.push",
-        "repro.mem.channel.Channel._tick_python",
-        "repro.mem.channel.Channel.enqueue_soa",
     }
 )

@@ -1,21 +1,21 @@
 """The project-specific rule families of ``repro.lint``.
 
-Three families (DESIGN.md §11):
+Two families (DESIGN.md §11), each kept because it catches a harmful
+shape that neither the goldens nor tier-1 see (the mutation table in
+CHANGES.md names each one):
 
-* **D — determinism.**  Protects the byte-identical golden guarantee
-  (``tests/golden/``): no ad-hoc randomness outside
-  :mod:`repro.common.rng`, no wall-clock reads in simulation modules, no
-  iteration over hash-ordered containers on paths that feed results.
-* **H — hot path.**  Protects the PR 2 kernel fast path: structs on the
-  :mod:`repro.lint.hotpath` manifest stay slotted and slim, the inlined
-  event loops stay free of formatting/logging/exception-handling.
-* **C — contracts.**  API hygiene: no bare ``except``, no mutable
-  default arguments, exceptions derive from
-  :class:`~repro.common.errors.ReproError`, public ``repro.common`` /
-  ``repro.hybrid`` / ``repro.lint`` functions carry full type hints.
+* **H — hot path.**  Structs on the :mod:`repro.lint.hotpath` manifest
+  stay slotted and slim, and the inlined event loops stay free of
+  formatting/logging/exception-handling.
+* **C — contracts.**  No bare ``except``, no builtin exceptions where a
+  :class:`~repro.common.errors.ReproError` belongs, no direct policy
+  construction outside the registry, no broad handler that swallows the
+  error.
 
-Every rule is registered in :data:`RULES` with a one-line description
-(``profess lint --list-rules``).
+Determinism is left to the goldens and tier-1, which catch every
+injected shape that changes a result.  Every rule is registered in
+:data:`RULES` with a one-line description (``profess lint
+--list-rules``).
 """
 
 from __future__ import annotations
@@ -33,78 +33,19 @@ from repro.lint.engine import (
 
 #: Rule id -> one-line description (the authoritative rule registry).
 RULES: dict[str, str] = {
-    "D101": "import of the stdlib `random` module outside repro.common.rng",
-    "D102": "numpy.random use outside repro.common.rng (seeded substreams only)",
-    "D103": "wall-clock/entropy read (time.time, datetime.now, os.urandom, "
-    "uuid) in a simulation module, called or aliased",
-    "D104": "iteration over a set literal/constructor, or over a local bound "
-    "to one, in a simulation module (hash order leaks into results)",
-    "D105": "dict subscript or key built from id() in a simulation module "
-    "(address-dependent state)",
     "H200": "hot-path manifest entry does not resolve to a definition",
     "H201": "class on the hot-path manifest does not declare __slots__",
     "H202": "attribute not in __slots__ assigned on a slotted class",
     "H203": "f-string, logging/print, or try/except inside a hot-path "
     "function (error-path raise excepted)",
-    "H204": "per-request object allocation (container display, "
-    "comprehension, lambda/nested def, allocating constructor) inside a "
-    "batched tick-loop function (error-path raise excepted)",
     "C301": "bare `except:` (swallows SystemExit/KeyboardInterrupt)",
-    "C302": "mutable default argument",
     "C303": "raised exception does not derive from ReproError",
-    "C304": "public function in an annotated package lacks complete type "
-    "hints",
     "C305": "direct policy-class construction outside repro.policies/"
     "repro.core (use repro.policies.registry.build_policy)",
     "C306": "broad `except Exception` handler that swallows the error "
     "(no raise in the handler body)",
-    "K401": "cache-key soundness: a field excluded from the class's "
-    "cache_token()/cache_key() walk is read on a simulation path and is "
-    "not on the _CACHE_NEUTRAL_FIELDS allowlist",
-    "K402": "stale _CACHE_NEUTRAL_FIELDS allowlist entry: names no "
-    "field, or a field the token walk already covers",
-    "K403": "impure operation (I/O, env, clock, randomness, global "
-    "mutation) reachable from cache_token()/cache_key() computation",
-    "W001": "`# repro: noqa` suppression that no longer matches any "
-    "finding (reported under --show-unused-noqa)",
     "E999": "file could not be parsed",
 }
-
-#: Packages whose modules count as "simulation modules" for D103-D105.
-SIM_PACKAGES = ("sim", "mem", "hybrid", "core", "cache", "cpu")
-#: Packages whose public functions must be fully annotated (C304).
-#: Mirrors the mypy strict-override list in pyproject.toml — extend both
-#: together.
-ANNOTATED_PACKAGES = (
-    "repro.common",
-    "repro.hybrid",
-    "repro.lint",
-    "repro.exec",
-    "repro.mem",
-)
-#: The only module allowed to touch random sources (D101/D102).
-RNG_MODULE = "repro.common.rng"
-
-#: Wall-clock and entropy reads banned in simulation modules (D103).
-_CLOCK_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-        "os.urandom",
-        "os.getrandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "secrets.token_bytes",
-        "secrets.token_hex",
-        "secrets.randbelow",
-    }
-)
 
 #: Builtin exception types C303 refuses (`raise ValueError(...)` etc.).
 #: NotImplementedError and AssertionError stay legal: they signal
@@ -129,26 +70,6 @@ _BANNED_BUILTIN_RAISES = frozenset(
         "TypeError",
         "ValueError",
         "ZeroDivisionError",
-    }
-)
-
-
-#: Allocating constructors banned inside batched tick-loop functions
-#: (H204).  Method calls (``free.pop()``, ``queue._grow()``) stay legal:
-#: the rule targets fresh per-event objects, not reuse of preallocated
-#: state.
-_BATCH_ALLOC_CALLS = frozenset(
-    {
-        "list",
-        "dict",
-        "set",
-        "frozenset",
-        "tuple",
-        "bytearray",
-        "deque",
-        "collections.deque",
-        "partial",
-        "functools.partial",
     }
 )
 
@@ -180,18 +101,6 @@ def _in_policy_scope(module: str) -> bool:
     )
 
 
-def _in_sim_scope(module: str) -> bool:
-    parts = module.split(".")
-    return len(parts) >= 2 and parts[0] == "repro" and parts[1] in SIM_PACKAGES
-
-
-def _in_annotated_scope(module: str) -> bool:
-    return any(
-        module == package or module.startswith(package + ".")
-        for package in ANNOTATED_PACKAGES
-    )
-
-
 class _Checker(ast.NodeVisitor):
     """Single-pass rule visitor for one module."""
 
@@ -201,53 +110,33 @@ class _Checker(ast.NodeVisitor):
         index: ProjectIndex,
         hot_classes: frozenset[str],
         hot_functions: frozenset[str],
-        batch_functions: frozenset[str] = frozenset(),
     ) -> None:
         self.info = info
         self.index = index
         self.hot_classes = hot_classes
         self.hot_functions = hot_functions
-        self.batch_functions = batch_functions
         self.findings: list[Finding] = []
-        self.sim_scope = _in_sim_scope(info.module)
-        self.annotated_scope = _in_annotated_scope(info.module)
         self.policy_scope = _in_policy_scope(info.module)
-        self.is_rng_module = info.module == RNG_MODULE
         #: Enclosing ClassDef qualnames, innermost last.
         self._class_stack: list[str] = []
         #: Enclosing function names, innermost last.
         self._func_stack: list[str] = []
         #: Depth of enclosing hot-path functions (H203 active when > 0).
         self._hot_depth = 0
-        #: Depth of enclosing batched tick-loop functions (H204 active
-        #: when > 0).
-        self._batch_depth = 0
         #: Depth of enclosing Raise statements (f-strings exempt inside).
         self._raise_depth = 0
         #: Slot unions of enclosing slotted classes (None = H202 off).
         self._slots_stack: list[Optional[frozenset[str]]] = []
-        #: Call targets seen so far (D103: called, so not an alias).
-        self._called: set[ast.expr] = set()
-        #: Per enclosing function, the locals it binds to a set (D104).
-        self._set_locals: list[set[str]] = []
 
     # ------------------------------------------------------------------
     def _emit(self, rule: str, node: ast.AST, message: str) -> None:
-        line = getattr(node, "lineno", 1)
-        # A noqa anywhere on a multi-line *statement* suppresses its
-        # findings; compound bodies (def/class/if/...) must not let the
-        # span swallow nested code, so they keep a single-line span.
-        end_line = getattr(node, "end_lineno", None) or line
-        if hasattr(node, "body"):
-            end_line = line
         self.findings.append(
             Finding(
                 rule=rule,
                 path=self.info.path,
-                line=line,
+                line=getattr(node, "lineno", 1),
                 col=getattr(node, "col_offset", 0) + 1,
                 message=message,
-                end_line=end_line,
             )
         )
 
@@ -258,97 +147,17 @@ class _Checker(ast.NodeVisitor):
         return f"{self.info.module}.{name}"
 
     # ------------------------------------------------------------------
-    # Imports: D101 / D102
-    # ------------------------------------------------------------------
-    def visit_Import(self, node: ast.Import) -> None:
-        if not self.is_rng_module:
-            for alias in node.names:
-                root = alias.name.partition(".")[0]
-                if root == "random":
-                    self._emit(
-                        "D101",
-                        node,
-                        "import random: draw from repro.common.rng "
-                        "substreams instead",
-                    )
-                elif alias.name.startswith("numpy.random"):
-                    self._emit(
-                        "D102",
-                        node,
-                        "import numpy.random: use repro.common.rng.make_rng",
-                    )
-        self.generic_visit(node)
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if not self.is_rng_module and node.module is not None:
-            if node.module == "random" or node.module.startswith("random."):
-                self._emit(
-                    "D101",
-                    node,
-                    "from random import ...: draw from repro.common.rng "
-                    "substreams instead",
-                )
-            elif node.module.startswith("numpy.random") or (
-                node.module == "numpy"
-                and any(alias.name == "random" for alias in node.names)
-            ):
-                self._emit(
-                    "D102",
-                    node,
-                    "numpy.random import: use repro.common.rng.make_rng",
-                )
-        self.generic_visit(node)
-
-    # ------------------------------------------------------------------
-    # Calls: D102 / D103 / H203 (logging, print)
+    # Calls: H203 (logging, print) / C305
     # ------------------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        self._called.add(node.func)
         resolved = resolve_dotted(self.info, node.func)
         if resolved is not None:
-            if not self.is_rng_module and (
-                resolved.startswith("numpy.random.")
-                or resolved.startswith("np.random.")
-            ):
-                self._emit(
-                    "D102",
-                    node,
-                    f"{resolved}: use repro.common.rng.make_rng for a "
-                    "seeded substream",
-                )
-            if self.sim_scope and resolved in _CLOCK_CALLS:
-                self._emit(
-                    "D103",
-                    node,
-                    f"{resolved}() in a simulation module: results must "
-                    "be a function of (spec, seed) only",
-                )
             if self._hot_depth > 0:
                 if resolved == "print" or resolved.startswith("logging."):
                     self._emit(
                         "H203",
                         node,
                         f"{resolved}() call inside a hot-path function",
-                    )
-            if self._batch_depth > 0 and self._raise_depth == 0:
-                if resolved in _BATCH_ALLOC_CALLS:
-                    self._emit(
-                        "H204",
-                        node,
-                        f"{resolved}() allocates inside a batched tick "
-                        "loop: reuse preallocated SoA state instead",
-                    )
-                elif (
-                    resolved in self.index.classes
-                    or f"{self.info.module}.{resolved}"
-                    in self.index.classes
-                ):
-                    self._emit(
-                        "H204",
-                        node,
-                        f"{resolved} constructed inside a batched tick "
-                        "loop: per-request objects defeat the columnar "
-                        "layout",
                     )
             if (
                 not self.policy_scope
@@ -361,146 +170,6 @@ class _Checker(ast.NodeVisitor):
                     "repro.policies.registry.build_policy so axis "
                     "resolution and canonical naming apply",
                 )
-        self.generic_visit(node)
-
-    def _check_clock_alias(self, node: ast.Name | ast.Attribute) -> None:
-        if (
-            self.sim_scope
-            and isinstance(node.ctx, ast.Load)
-            and node not in self._called
-        ):
-            resolved = resolve_dotted(self.info, node)
-            if resolved in _CLOCK_CALLS:
-                self._emit(
-                    "D103",
-                    node,
-                    f"{resolved} referenced without a call in a simulation "
-                    "module: calling it through an alias still reads it",
-                )
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        self._check_clock_alias(node)
-        self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        self._check_clock_alias(node)
-
-    # ------------------------------------------------------------------
-    # Iteration: D104
-    # ------------------------------------------------------------------
-    def _is_set_expr(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        return isinstance(node, ast.Call) and resolve_dotted(
-            self.info, node.func
-        ) in ("set", "frozenset")
-
-    def _bound_sets(self, node: ast.FunctionDef) -> set[str]:
-        """Locals the function binds to a set display or constructor."""
-        return {
-            target.id
-            for statement in ast.walk(node)
-            if isinstance(statement, ast.Assign)
-            and self._is_set_expr(statement.value)
-            for target in statement.targets
-            if isinstance(target, ast.Name)
-        }
-
-    def _check_set_iteration(self, iterable: ast.expr) -> None:
-        if not self.sim_scope:
-            return
-        if self._is_set_expr(iterable) or (
-            isinstance(iterable, ast.Name)
-            and bool(self._set_locals)
-            and iterable.id in self._set_locals[-1]
-        ):
-            self._emit(
-                "D104",
-                iterable,
-                "iterating a set: order is hash-dependent; sort it or "
-                "use a sequence/dict",
-            )
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_set_iteration(node.iter)
-        self.generic_visit(node)
-
-    def visit_comprehension(self, node: ast.comprehension) -> None:
-        self._check_set_iteration(node.iter)
-        self.generic_visit(node)
-
-    # ------------------------------------------------------------------
-    # id()-keyed state: D105
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _is_id_call(node: ast.expr) -> bool:
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "id"
-        )
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if self.sim_scope and self._is_id_call(node.slice):
-            self._emit(
-                "D105",
-                node,
-                "id()-keyed subscript: object addresses vary across runs",
-            )
-        self.generic_visit(node)
-
-    def visit_Dict(self, node: ast.Dict) -> None:
-        if self.sim_scope:
-            for key in node.keys:
-                if key is not None and self._is_id_call(key):
-                    self._emit(
-                        "D105",
-                        key,
-                        "id() as a dict key: object addresses vary "
-                        "across runs",
-                    )
-        self._check_batch_alloc(node, "dict display")
-        self.generic_visit(node)
-
-    # ------------------------------------------------------------------
-    # H204: allocation inside batched tick-loop functions
-    # ------------------------------------------------------------------
-    def _check_batch_alloc(self, node: ast.AST, what: str) -> None:
-        if self._batch_depth > 0 and self._raise_depth == 0:
-            self._emit(
-                "H204",
-                node,
-                f"{what} inside a batched tick loop: the SoA fast path "
-                "must not allocate per request",
-            )
-
-    def visit_List(self, node: ast.List) -> None:
-        if not isinstance(node.ctx, ast.Store):
-            self._check_batch_alloc(node, "list display")
-        self.generic_visit(node)
-
-    def visit_Set(self, node: ast.Set) -> None:
-        self._check_batch_alloc(node, "set display")
-        self.generic_visit(node)
-
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        self._check_batch_alloc(node, "list comprehension")
-        self.generic_visit(node)
-
-    def visit_SetComp(self, node: ast.SetComp) -> None:
-        self._check_batch_alloc(node, "set comprehension")
-        self.generic_visit(node)
-
-    def visit_DictComp(self, node: ast.DictComp) -> None:
-        self._check_batch_alloc(node, "dict comprehension")
-        self.generic_visit(node)
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        self._check_batch_alloc(node, "generator expression")
-        self.generic_visit(node)
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        self._check_batch_alloc(node, "lambda (allocates a closure)")
         self.generic_visit(node)
 
     # ------------------------------------------------------------------
@@ -559,119 +228,22 @@ class _Checker(ast.NodeVisitor):
                 self._check_self_assignment(target)
         self.generic_visit(node)
 
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        # The annotation subtree is skipped: under ``from __future__
-        # import annotations`` it never evaluates, so e.g. the ``[int]``
-        # in ``Callable[[int], None]`` is not an allocation (H204).
-        self._check_self_assignment(node.target)
-        self.visit(node.target)
-        if node.value is not None:
-            self.visit(node.value)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+    def visit_AugAssign(self, node: ast.AugAssign | ast.AnnAssign) -> None:
         self._check_self_assignment(node.target)
         self.generic_visit(node)
 
-    # ------------------------------------------------------------------
-    # Functions: C302 / C304 and H203 context
-    # ------------------------------------------------------------------
-    def _check_mutable_defaults(self, node: ast.FunctionDef) -> None:
-        defaults = list(node.args.defaults) + [
-            d for d in node.args.kw_defaults if d is not None
-        ]
-        for default in defaults:
-            bad = isinstance(
-                default,
-                (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                 ast.SetComp),
-            )
-            if not bad and isinstance(default, ast.Call):
-                resolved = resolve_dotted(self.info, default.func)
-                bad = resolved in ("list", "dict", "set", "bytearray")
-            if bad:
-                self._emit(
-                    "C302",
-                    default,
-                    "mutable default argument: use None and create "
-                    "inside the function",
-                )
+    visit_AnnAssign = visit_AugAssign
 
-    def _check_annotations(self, node: ast.FunctionDef) -> None:
-        if not self.annotated_scope or self._func_stack:
-            return  # nested functions are implementation detail
-        if node.name.startswith("_"):
-            return
-        if self._class_stack and any(
-            name.startswith("_") for name in self._class_stack
-        ):
-            return  # private class: not public API
-        args = node.args
-        positional = args.posonlyargs + args.args
-        if self._class_stack and positional:
-            has_staticmethod = any(
-                isinstance(d, ast.Name) and d.id == "staticmethod"
-                for d in node.decorator_list
-            )
-            if not has_staticmethod:
-                positional = positional[1:]  # self / cls
-        missing = [
-            arg.arg
-            for arg in positional + args.kwonlyargs
-            if arg.annotation is None
-        ]
-        for vararg in (args.vararg, args.kwarg):
-            if vararg is not None and vararg.annotation is None:
-                missing.append(vararg.arg)
-        if missing:
-            self._emit(
-                "C304",
-                node,
-                f"public function {node.name}() missing parameter "
-                f"annotations: {', '.join(missing)}",
-            )
-        if node.returns is None:
-            self._emit(
-                "C304",
-                node,
-                f"public function {node.name}() missing a return "
-                "annotation",
-            )
-
+    # ------------------------------------------------------------------
+    # Functions: H203 context
+    # ------------------------------------------------------------------
     def _visit_function(self, node: ast.FunctionDef) -> None:
-        self._check_mutable_defaults(node)
-        self._check_annotations(node)
-        qualified = self._qualname(node.name)
-        is_hot = qualified in self.hot_functions
-        is_batch = qualified in self.batch_functions
-        if self._batch_depth > 0 and not is_batch:
-            self._emit(
-                "H204",
-                node,
-                f"nested function {node.name}() inside a batched tick "
-                "loop allocates a function object per call",
-            )
+        is_hot = self._qualname(node.name) in self.hot_functions
         if is_hot:
             self._hot_depth += 1
-        if is_batch:
-            self._batch_depth += 1
         self._func_stack.append(node.name)
-        self._set_locals.append(self._bound_sets(node) if self.sim_scope else set())
-        # Visit children selectively: parameter/return annotations never
-        # evaluate at runtime (future annotations), so their subtrees
-        # must not trip allocation rules like H204.
-        for decorator in node.decorator_list:
-            self.visit(decorator)
-        for default in node.args.defaults:
-            self.visit(default)
-        for default in node.args.kw_defaults:
-            if default is not None:
-                self.visit(default)
-        for statement in node.body:
-            self.visit(statement)
-        self._set_locals.pop()
+        self.generic_visit(node)
         self._func_stack.pop()
-        if is_batch:
-            self._batch_depth -= 1
         if is_hot:
             self._hot_depth -= 1
 
@@ -707,9 +279,9 @@ class _Checker(ast.NodeVisitor):
                 self._emit(
                     "C306",
                     handler,
-                    "except Exception swallows the error: re-raise, "
-                    "convert to a ReproError, or justify with "
-                    "`# repro: noqa[C306]`",
+                    "except Exception swallows the error: catch the "
+                    "specific exceptions expected, or re-raise (converted "
+                    "to a ReproError where callers need one)",
                 )
         self.generic_visit(node)
 
@@ -779,12 +351,9 @@ def check_module(
     index: ProjectIndex,
     hot_classes: frozenset[str],
     hot_functions: frozenset[str],
-    batch_functions: frozenset[str] = frozenset(),
 ) -> list[Finding]:
-    """All findings for one parsed module (suppressions not yet applied)."""
-    checker = _Checker(
-        info, index, hot_classes, hot_functions, batch_functions
-    )
+    """All findings for one parsed module."""
+    checker = _Checker(info, index, hot_classes, hot_functions)
     checker.visit(info.tree)
     return checker.findings
 
@@ -821,9 +390,9 @@ def check_manifest(
         if entry in info.functions:
             continue
         if depth > 1 and qualname.split(".")[0] not in info.classes:
-            # The qualname head may be an unlinted submodule (subset or
-            # --changed runs lint packages without their children): the
-            # entry cannot be proven stale, so stay silent.
+            # The qualname head may be an unlinted submodule (subset
+            # runs lint packages without their children): the entry
+            # cannot be proven stale, so stay silent.
             continue
         findings.append(
             Finding(

@@ -4,5 +4,5 @@
 def load(path):
     try:
         return path.read_text()
-    except:  # noqa is deliberate-free: this must fire
+    except:
         return None

@@ -24,9 +24,3 @@ def narrow_swallow(path):
     except OSError:
         return None  # narrow handlers may legitimately swallow
 
-
-def justified(path):
-    try:
-        return path.read_text()
-    except Exception:  # repro: noqa[C306]
-        return None

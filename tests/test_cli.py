@@ -90,6 +90,21 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "invalid choice: 'perf'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--format", "sarif"], ["--changed"], ["--show-unused-noqa"]],
+        ids=["format-sarif", "changed", "show-unused-noqa"],
+    )
+    def test_removed_lint_options_are_gone(self, option, capsys):
+        # SARIF/JSON output, git-diff scoping and noqa tracking had no
+        # caller; `profess lint` keeps paths, --select, --ignore,
+        # --exclude and --list-rules.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lint", "src/repro", *option])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and err.count("\n") == 1
+
 
 class TestMain:
     def test_list_exits_zero(self, capsys):

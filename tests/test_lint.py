@@ -4,15 +4,14 @@ Three layers:
 
 * every rule fires on its bad fixture and stays silent on its good one
   (``tests/lint_fixtures/``),
-* the suppression / selection machinery behaves (``# repro: noqa``,
-  ``--select`` / ``--ignore``),
+* the selection machinery behaves (``--select`` / ``--ignore``, rule
+  scopes),
 * ``src/repro`` itself is lint-clean — the repo must always pass its own
   static analysis (this is what CI enforces via ``profess lint``).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -40,29 +39,16 @@ class Case:
     #: Hot-function manifest entries (qualnames, relative to ``module``).
     bad_functions: tuple[str, ...] = ()
     good_functions: tuple[str, ...] = ()
-    #: Batched tick-loop entries (H204; qualnames, relative to ``module``).
-    bad_batch: tuple[str, ...] = ()
-    good_batch: tuple[str, ...] = ()
-    #: Lint with ``--show-unused-noqa`` (the W001 fixtures need it).
-    show_unused: bool = False
-
-    def manifests(self, kind: str) -> tuple[frozenset, frozenset, frozenset]:
+    def manifests(self, kind: str) -> tuple[frozenset, frozenset]:
         classes = self.bad_classes if kind == "bad" else self.good_classes
         functions = self.bad_functions if kind == "bad" else self.good_functions
-        batch = self.bad_batch if kind == "bad" else self.good_batch
         return (
             frozenset(f"{self.module}.{name}" for name in classes),
             frozenset(f"{self.module}.{name}" for name in functions),
-            frozenset(f"{self.module}.{name}" for name in batch),
         )
 
 
 CASES: dict[str, Case] = {
-    "D101": Case(module="repro.analysis.fixture"),
-    "D102": Case(module="repro.analysis.fixture"),
-    "D103": Case(module="repro.sim.fixture"),
-    "D104": Case(module="repro.sim.fixture"),
-    "D105": Case(module="repro.sim.fixture"),
     "H200": Case(
         module="repro.sim.fixture",
         bad_classes=("Missing",),
@@ -79,21 +65,10 @@ CASES: dict[str, Case] = {
         bad_functions=("Loop.run",),
         good_functions=("Loop.run",),
     ),
-    "H204": Case(
-        module="repro.mem.fixture",
-        bad_batch=("Kernel.tick",),
-        good_batch=("Kernel.tick",),
-    ),
     "C301": Case(module="repro.analysis.fixture"),
-    "C302": Case(module="repro.analysis.fixture"),
     "C303": Case(module="repro.analysis.fixture"),
-    "C304": Case(module="repro.common.fixture"),
     "C305": Case(module="repro.experiments.fixture"),
     "C306": Case(module="repro.analysis.fixture"),
-    "K401": Case(module="repro.sim.fixture"),
-    "K402": Case(module="repro.sim.fixture"),
-    "K403": Case(module="repro.sim.fixture"),
-    "W001": Case(module="repro.analysis.fixture", show_unused=True),
     "E999": Case(module="repro.analysis.fixture"),
 }
 
@@ -105,8 +80,6 @@ def lint_fixture(
     ignore: Optional[str] = None,
     hot_classes: frozenset = NO_HOT,
     hot_functions: frozenset = NO_HOT,
-    batch_functions: frozenset = NO_HOT,
-    show_unused_noqa: bool = False,
 ) -> list[Finding]:
     path = FIXTURES / f"{name}.py"
     return lint_sources(
@@ -115,22 +88,18 @@ def lint_fixture(
         ignore=ignore,
         hot_classes=hot_classes,
         hot_functions=hot_functions,
-        batch_functions=batch_functions,
-        show_unused_noqa=show_unused_noqa,
     )
 
 
 def lint_case(rule: str, kind: str) -> list[Finding]:
     case = CASES[rule]
-    hot_classes, hot_functions, batch_functions = case.manifests(kind)
+    hot_classes, hot_functions = case.manifests(kind)
     return lint_fixture(
         f"{rule.lower()}_{kind}",
         case.module,
         select=rule,
         hot_classes=hot_classes,
         hot_functions=hot_functions,
-        batch_functions=batch_functions,
-        show_unused_noqa=case.show_unused,
     )
 
 
@@ -166,107 +135,51 @@ class TestRulesFire:
     def test_bad_fixture_counts(self):
         # Spot-check multiplicity: every banned site is reported, not
         # just the first one per file.
-        assert len(lint_case("D101", "bad")) == 2  # import + from-import
-        # time, datetime, urandom, helper return, local store, alias,
-        # pass-through argument
-        assert len(lint_case("D103", "bad")) == 7
-        assert len(lint_case("D104", "bad")) == 3  # for, comprehension, local
-        assert len(lint_case("D105", "bad")) == 2  # subscript + dict key
         assert len(lint_case("H202", "bad")) == 2  # __init__ + method
         assert len(lint_case("H203", "bad")) == 3  # print, f-string, try
-        # list + dict display, comprehension, lambda, nested def,
-        # project class, partial
-        assert len(lint_case("H204", "bad")) == 7
-        assert len(lint_case("C302", "bad")) == 3  # list, dict, set
         assert len(lint_case("C303", "bad")) == 2  # local class + builtin
+        assert len(lint_case("C305", "bad")) == 2  # MDMPolicy + PoMPolicy
         assert len(lint_case("C306", "bad")) == 2  # plain + inside tuple
-        assert len(lint_case("K402", "bad")) == 2  # ghost + covered entry
-
-
-class TestSuppressions:
-    def test_line_noqa_suppresses_named_rule(self):
-        assert lint_fixture("noqa_line", "repro.analysis.fixture") == []
-
-    def test_blanket_noqa_suppresses_everything_on_line(self):
-        assert lint_fixture("noqa_blanket", "repro.analysis.fixture") == []
-
-    def test_file_noqa_suppresses_rule_everywhere(self):
-        assert lint_fixture("noqa_file", "repro.analysis.fixture") == []
-
-    def test_wrong_rule_noqa_does_not_suppress(self):
-        findings = lint_fixture("noqa_wrong_rule", "repro.analysis.fixture")
-        assert [f.rule for f in findings] == ["D101"]
-
-    def test_noqa_on_any_line_of_multiline_statement(self):
-        # The call spans three physical lines; the comment sits on the
-        # closing paren's line and must still suppress the finding.
-        assert lint_fixture("noqa_multiline", "repro.sim.fixture") == []
-
-    def test_marker_inside_string_literal_is_inert(self):
-        # Documentation *about* the marker is not a suppression: it must
-        # neither hide the finding nor count as stale under W001.
-        source = 'import random; DOC = "# repro: noqa"\n'
-        findings = lint_sources(
-            {"repro.analysis.fixture": ("<inline>", source)},
-            show_unused_noqa=True,
-        )
-        assert [f.rule for f in findings] == ["D101"]
-
-    def test_unused_noqa_reported_only_on_request(self):
-        silent = lint_fixture("w001_bad", "repro.analysis.fixture")
-        assert silent == []
-        reported = lint_fixture(
-            "w001_bad", "repro.analysis.fixture", show_unused_noqa=True
-        )
-        assert [f.rule for f in reported] == ["W001"]
 
 
 class TestSelection:
     def test_select_family_prefix(self):
-        assert lint_fixture("d101_bad", "repro.analysis.fixture", select="D")
+        assert lint_fixture("c301_bad", "repro.analysis.fixture", select="C")
         assert (
-            lint_fixture("d101_bad", "repro.analysis.fixture", select="C")
+            lint_fixture("c301_bad", "repro.analysis.fixture", select="H")
             == []
         )
 
     def test_ignore_specific_rule(self):
         assert (
-            lint_fixture("d101_bad", "repro.analysis.fixture", ignore="D101")
+            lint_fixture("c301_bad", "repro.analysis.fixture", ignore="C301")
             == []
         )
 
-    def test_rng_module_is_exempt(self):
-        # The one module allowed to import random: repro.common.rng.
-        assert (
-            lint_fixture("d101_bad", "repro.common.rng", select="D101") == []
-        )
-
-    def test_sim_rules_only_in_sim_scope(self):
-        # The same set-iteration code outside sim/ packages is legal.
-        assert lint_fixture("d104_bad", "repro.analysis.fixture") == []
+    def test_policy_packages_may_construct_policies(self):
+        # The registry and the defining modules build policies directly.
+        for module in ("repro.policies.fixture", "repro.core.fixture"):
+            assert lint_fixture("c305_bad", module, select="C305") == []
 
 
 class TestFindingShape:
-    def test_render_and_to_dict(self):
+    def test_render(self):
         finding = lint_case("C301", "bad")[0]
-        assert finding.rule == "C301"
-        rendered = finding.render()
-        assert f":{finding.line}:" in rendered and "C301" in rendered
-        payload = finding.to_dict()
-        assert payload["rule"] == "C301"
-        assert payload["path"].endswith("c301_bad.py")
-        assert isinstance(payload["line"], int)
+        assert finding.path.endswith("c301_bad.py")
+        assert finding.render() == (
+            f"{finding.path}:{finding.line}:{finding.col}: C301 "
+            f"{finding.message}"
+        )
 
 
 class TestCli:
-    def test_findings_exit_1_and_json(self, capsys):
-        code = cli.main(
-            ["lint", str(FIXTURES / "c301_bad.py"), "--format", "json"]
-        )
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["count"] >= 1
-        assert any(f["rule"] == "C301" for f in payload["findings"])
+    def test_findings_exit_1(self, capsys):
+        path = FIXTURES / "c301_bad.py"
+        assert cli.main(["lint", str(path)]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.out.splitlines()
+        assert line.startswith(f"{path}:") and " C301 " in line
+        assert captured.err == "1 finding(s): C301 x1\n"
 
     def test_clean_file_exits_0(self, capsys):
         code = cli.main(["lint", str(FIXTURES / "c301_good.py")])
@@ -275,19 +188,21 @@ class TestCli:
 
     def test_select_filters_cli(self, capsys):
         code = cli.main(
-            ["lint", str(FIXTURES / "c301_bad.py"), "--select", "D"]
+            ["lint", str(FIXTURES / "c301_bad.py"), "--select", "H"]
         )
         assert code == 0
         capsys.readouterr()
 
     def test_missing_path_exits_2(self, capsys):
         # Usage errors share the exit code: a missing path, and a
-        # --select/--ignore entry that prefixes no rule code (a removed
-        # rule such as D110 included), each reported on one line.
+        # --select/--ignore entry that prefixes no rule code (removed
+        # rules such as D101 and K401 included), each reported on one
+        # line.
         good = str(FIXTURES / "c301_good.py")
         for argv in (
             [str(FIXTURES / "does_not_exist.py")],
-            [good, "--select", "D110"],
+            [good, "--select", "D101"],
+            [good, "--select", "K401"],
             [good, "--select", "D999"],
             [good, "--select", "C,D999"],
             [good, "--ignore", "D999"],
@@ -311,13 +226,5 @@ class TestRepoClean:
     def test_src_repro_is_lint_clean(self):
         findings = lint_paths([SRC])
         assert findings == [], "src/repro must stay lint-clean:\n" + "\n".join(
-            f.render() for f in findings
-        )
-
-    def test_src_repro_has_no_stale_noqa(self):
-        # Every suppression comment in the tree must still match a
-        # finding — stale ones get deleted, not accumulated.
-        findings = lint_paths([SRC], show_unused_noqa=True)
-        assert findings == [], "stale noqa in src/repro:\n" + "\n".join(
             f.render() for f in findings
         )

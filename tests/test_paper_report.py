@@ -138,6 +138,25 @@ class TestShapeVerdicts:
         rows = [["mcf", half, 1.0, double], ["lbm", 0.99, 1.0, 1.01]]
         assert _verdict("fig8", rows) is holds
 
+    @pytest.mark.parametrize(
+        "half, default, double, holds",
+        [(40.0, 45.0, 50.0, True), (45.0, 45.0, 45.0, True),
+         (46.0, 45.0, 50.0, False), (40.0, 45.0, 44.9, False)],
+    )
+    def test_fig9_hit_rate_non_decreasing_with_stc_size(
+        self, half, default, double, holds
+    ):
+        rows = [["mcf", half, default, double], ["lbm", 93.0, 94.0, 95.0]]
+        assert _verdict("fig9", rows) is holds
+
+    def test_fig12_needs_a_geomean_gain(self):
+        check = paper_report.EXPECTATIONS["fig12"].shape_holds
+        result = ExperimentResult("fig12", "t", ["h"], [])
+        result.summary["geomean"] = 1.07
+        assert check(result)
+        result.summary["geomean"] = 0.989  # the stored fig12 result
+        assert not check(result)
+
     def test_fig16_needs_relief_and_a_lighter_program_paying(self):
         worst, light = ["w09", "mcf", 3.6, 3.5, 3.3], ["w09", "lbm", 2.0, 2.0]
         # Worst relieved, lighter program slower under ProFess: holds.
